@@ -75,8 +75,9 @@ func BenchmarkDecoderScaling(b *testing.B) {
 	bits := len(payload)*8 + core.CRCBits
 	var txs []air.Transmission
 	for i := 0; i < 64; i++ {
-		enc := core.NewEncoder(p, book.ShiftOfSlot(i))
-		txs = append(txs, air.Transmission{Waveform: enc.FrameWaveform(payload), SNRdB: 8})
+		tx := core.NewEncoder(p, book.ShiftOfSlot(i)).Tx(core.FrameBits(payload))
+		tx.SNRdB = 8
+		txs = append(txs, tx)
 	}
 	ch := air.NewChannel(p, rng)
 	sig := ch.Receive(ch.FrameLength(core.PreambleSymbols+bits, 2), txs)
@@ -142,17 +143,12 @@ func runSkipRound(p chirp.Params, skip int, seed int64) (good, total int) {
 	for i := 0; i < n; i++ {
 		shifts[i] = book.ShiftOfSlot(i)
 		payload[i] = rng.Bytes(2)
-		enc := core.NewEncoder(p, shifts[i])
-		pl := payload[i]
-		txs = append(txs, air.Transmission{
-			Delayed: func(frac float64) []complex128 {
-				return enc.FrameWaveformDelayed(pl, frac)
-			},
-			SNRdB: rng.Uniform(5, 10),
-			// Hardware delay jitter up to ~0.45 of a bin — the regime
-			// SKIP=1 cannot survive and SKIP>=2 is designed for.
-			DelaySec: rng.Uniform(0, 0.45) / p.BW,
-		})
+		tx := core.NewEncoder(p, shifts[i]).Tx(core.FrameBits(payload[i]))
+		tx.SNRdB = rng.Uniform(5, 10)
+		// Hardware delay jitter up to ~0.45 of a bin — the regime
+		// SKIP=1 cannot survive and SKIP>=2 is designed for.
+		tx.DelaySec = rng.Uniform(0, 0.45) / p.BW
+		txs = append(txs, tx)
 	}
 	bits := 2*8 + core.CRCBits
 	ch := air.NewChannel(p, rng)
@@ -216,15 +212,10 @@ func BenchmarkZeroPadAblation(b *testing.B) {
 	shifts := make([]int, 32)
 	for i := range shifts {
 		shifts[i] = book.ShiftOfSlot(i)
-		enc := core.NewEncoder(p, shifts[i])
-		pl := payload
-		txs = append(txs, air.Transmission{
-			Delayed: func(frac float64) []complex128 {
-				return enc.FrameWaveformDelayed(pl, frac)
-			},
-			SNRdB:    8,
-			DelaySec: rng.Uniform(0, 0.4) / p.BW,
-		})
+		tx := core.NewEncoder(p, shifts[i]).Tx(core.FrameBits(payload))
+		tx.SNRdB = 8
+		tx.DelaySec = rng.Uniform(0, 0.4) / p.BW
+		txs = append(txs, tx)
 	}
 	ch := air.NewChannel(p, rng)
 	sig := ch.Receive(ch.FrameLength(core.PreambleSymbols+bits, 2), txs)
@@ -269,15 +260,10 @@ func BenchmarkOOKThresholdAblation(b *testing.B) {
 				for j := 0; j < n; j++ {
 					shifts[j] = book.ShiftOfSlot(j)
 					payloads[j] = rng.Bytes(2)
-					enc := core.NewEncoder(p, shifts[j])
-					pl := payloads[j]
-					txs = append(txs, air.Transmission{
-						Delayed: func(frac float64) []complex128 {
-							return enc.FrameWaveformDelayed(pl, frac)
-						},
-						SNRdB:    rng.Uniform(4, 10),
-						DelaySec: rng.Uniform(0, 0.4) / p.BW,
-					})
+					tx := core.NewEncoder(p, shifts[j]).Tx(core.FrameBits(payloads[j]))
+					tx.SNRdB = rng.Uniform(4, 10)
+					tx.DelaySec = rng.Uniform(0, 0.4) / p.BW
+					txs = append(txs, tx)
 				}
 				bits := 2*8 + core.CRCBits
 				ch := air.NewChannel(p, rng)
@@ -376,39 +362,18 @@ func BenchmarkEncodeFrame(b *testing.B) {
 	}
 }
 
-func BenchmarkEncodeFrameDelayed(b *testing.B) {
-	enc := core.NewEncoder(chirp.Default500k9, 42)
-	payload := []byte{1, 2, 3, 4, 5}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		enc.FrameWaveformDelayed(payload, 0.37)
-	}
-}
-
-func BenchmarkEncodeFrameDelayedInto(b *testing.B) {
-	// The round context's reuse pattern: same frame, preallocated
-	// destination — the steady-state synthesis cost per device.
+func BenchmarkEncodeFrameMixedAdd(b *testing.B) {
+	// The simulator's per-device transmit cost: mixed templates plus one
+	// whole-buffer range accumulate.
 	enc := core.NewEncoder(chirp.Default500k9, 42)
 	bits := core.FrameBits([]byte{1, 2, 3, 4, 5})
-	dst := enc.FrameBitsWaveformDelayedInto(nil, bits, 0.37)
+	out := make([]complex128, (core.PreambleSymbols+len(bits)+2)*chirp.Default500k9.N())
+	var tmpl []complex128
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = enc.FrameBitsWaveformDelayedInto(dst, bits, 0.37)
-	}
-}
-
-func BenchmarkEncodeFrameMixedInto(b *testing.B) {
-	// The simulator's hot path: synthesis with frequency offset and
-	// carrier gain folded into the recurrence.
-	enc := core.NewEncoder(chirp.Default500k9, 42)
-	bits := core.FrameBits([]byte{1, 2, 3, 4, 5})
-	dst := enc.FrameBitsWaveformMixedInto(nil, bits, 0.37, 230, complex(1.4, -0.3))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = enc.FrameBitsWaveformMixedInto(dst, bits, 0.37, 230, complex(1.4, -0.3))
+		tmpl = enc.FrameBitsWaveformMixedTemplates(tmpl, bits, 0.37, 230, complex(1.4, -0.3))
+		enc.FrameBitsWaveformMixedAddRange(out, 0, len(out), 17, tmpl, bits, 0.37, 230)
 	}
 }
 

@@ -52,10 +52,9 @@ func main() {
 		if i < len(powerList) {
 			offset = powerList[i]
 		}
-		txs = append(txs, air.Transmission{
-			Waveform: mod.Symbol(s),
-			SNRdB:    *snr + offset,
-		})
+		tx := air.WaveformTx(mod.Symbol(s), p.SampleRate())
+		tx.SNRdB = *snr + offset
+		txs = append(txs, tx)
 	}
 	ch := air.NewChannel(p, dsp.NewRand(*seed))
 	if *noNoise {

@@ -216,8 +216,9 @@ func benchmarks() []namedBench {
 	bits := len(payload)*8 + core.CRCBits
 	var txs []air.Transmission
 	for i := 0; i < 64; i++ {
-		enc := core.NewEncoder(p, book.ShiftOfSlot(i))
-		txs = append(txs, air.Transmission{Waveform: enc.FrameWaveform(payload), SNRdB: 8})
+		tx := core.NewEncoder(p, book.ShiftOfSlot(i)).Tx(core.FrameBits(payload))
+		tx.SNRdB = 8
+		txs = append(txs, tx)
 	}
 	ch := air.NewChannel(p, rng)
 	sig := ch.Receive(ch.FrameLength(core.PreambleSymbols+bits, 2), txs)
@@ -348,33 +349,6 @@ func benchmarks() []namedBench {
 	})
 
 	bms = append(bms, namedBench{
-		name: "EncodeFrameDelayedInto",
-		fn: func(b *testing.B) {
-			enc := core.NewEncoder(p, 42)
-			bits := core.FrameBits(payload)
-			dst := enc.FrameBitsWaveformDelayedInto(nil, bits, 0.37)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dst = enc.FrameBitsWaveformDelayedInto(dst, bits, 0.37)
-			}
-		},
-	})
-	bms = append(bms, namedBench{
-		name: "EncodeFrameMixedInto",
-		fn: func(b *testing.B) {
-			enc := core.NewEncoder(p, 42)
-			bits := core.FrameBits(payload)
-			dst := enc.FrameBitsWaveformMixedInto(nil, bits, 0.37, 230, complex(1.4, -0.3))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dst = enc.FrameBitsWaveformMixedInto(dst, bits, 0.37, 230, complex(1.4, -0.3))
-			}
-		},
-	})
-
-	bms = append(bms, namedBench{
 		name: "EncodeFrameMixedAdd",
 		fn: func(b *testing.B) {
 			enc := core.NewEncoder(p, 42)
@@ -384,7 +358,8 @@ func benchmarks() []namedBench {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tmpl = enc.FrameBitsWaveformMixedAdd(out, 17, tmpl, bits, 0.37, 230, complex(1.4, -0.3))
+				tmpl = enc.FrameBitsWaveformMixedTemplates(tmpl, bits, 0.37, 230, complex(1.4, -0.3))
+				enc.FrameBitsWaveformMixedAddRange(out, 0, len(out), 17, tmpl, bits, 0.37, 230)
 			}
 		},
 	})

@@ -30,24 +30,12 @@ func decodePair(strongShift, weakShift int, strongSNR, weakSNR float64, seed int
 	bitsW := core.FrameBits(weakPayload)
 	rng := dsp.NewRand(seed)
 	ch := air.NewChannel(p, rng)
-	// Mixed synthesis: the channel folds each device's frequency offset
-	// and carrier gain into the recurrence that generates its chirps.
-	sig := ch.Receive(ch.FrameLength(core.PreambleSymbols+bits, 2), []air.Transmission{
-		{
-			Mixed: func(dst []complex128, f, freqHz float64, gain complex128) []complex128 {
-				return encS.FrameBitsWaveformMixedInto(dst, bitsS, f, freqHz, gain)
-			},
-			SNRdB:        strongSNR,
-			FreqOffsetHz: rng.Normal(0, 100),
-		},
-		{
-			Mixed: func(dst []complex128, f, freqHz float64, gain complex128) []complex128 {
-				return encW.FrameBitsWaveformMixedInto(dst, bitsW, f, freqHz, gain)
-			},
-			SNRdB:        weakSNR,
-			FreqOffsetHz: rng.Normal(0, 100),
-		},
-	})
+	// The channel folds each device's frequency offset and carrier
+	// gain into the recurrence that generates its chirp templates.
+	strong, weak := encS.Tx(bitsS), encW.Tx(bitsW)
+	strong.SNRdB, strong.FreqOffsetHz = strongSNR, rng.Normal(0, 100)
+	weak.SNRdB, weak.FreqOffsetHz = weakSNR, rng.Normal(0, 100)
+	sig := ch.Receive(ch.FrameLength(core.PreambleSymbols+bits, 2), []air.Transmission{strong, weak})
 	res, err := dec.DecodeFrame(sig, 0, []int{strongShift, weakShift}, bits)
 	if err != nil {
 		return false, false

@@ -18,54 +18,18 @@ import (
 )
 
 // Transmission describes one device's contribution to a received frame.
+// Its waveform reaches the channel as a template pair; a transmission
+// without both closures contributes nothing.
 type Transmission struct {
-	// Waveform is the device's ideal transmit waveform (from
-	// core.Encoder or css.Modem).
-	Waveform []complex128
-	// Delayed, if non-nil, synthesizes the waveform with a fractional
-	// sample delay baked in analytically (core.Encoder's
-	// FrameWaveformDelayed). Cyclically shifted chirps are not
-	// bandlimited (the shift wrap is a genuine discontinuity), so
-	// interpolating Waveform cannot represent a sub-sample delay
-	// exactly; analytic synthesis can. When nil, sub-sample delays fall
-	// back to bandlimited interpolation — fine for smooth waveforms
-	// like the ASK downlink.
-	Delayed func(fracSamples float64) []complex128
-	// DelayedInto is Delayed synthesizing into dst's storage when its
-	// capacity suffices (core.Encoder's FrameBitsWaveformDelayedInto).
-	// It takes precedence over Delayed and Waveform; with it, steady-
-	// state rounds through ReceiveInto run allocation-free, reusing the
-	// channel's per-slot synthesis buffers.
-	DelayedInto func(dst []complex128, fracSamples float64) []complex128
-	// Mixed, if non-nil, synthesizes the fractionally-delayed waveform
-	// with the transmission's frequency offset and complex carrier gain
-	// folded into the synthesis recurrence (core.Encoder's
-	// FrameBitsWaveformMixedInto) — one pass instead of synthesize +
-	// rotate + scale. Takes precedence over every other waveform field.
-	Mixed func(dst []complex128, fracSamples, freqOffsetHz float64, gain complex128) []complex128
-	// MixedAdd, if non-nil, accumulates the mixed waveform directly into
-	// the receive buffer at the given integer sample offset (clipped to
-	// its bounds), using tmpl as caller-owned template scratch — the
-	// superposition fused into synthesis, so the frame is never
-	// materialized (core.Encoder's FrameBitsWaveformMixedAdd). The
-	// channel uses it on the serial path (single-slot pool), where it is
-	// bit-identical to Mixed + Superpose; parallel synthesis keeps using
-	// Mixed so a transmission intended for both regimes should set both.
-	MixedAdd func(out []complex128, at int, tmpl []complex128, fracSamples, freqOffsetHz float64, gain complex128) []complex128
-	// MixedTmpl and MixedAddRange together select the tiled channel
-	// path, the preferred regime: MixedTmpl synthesizes the frame's
-	// mixed template symbols into channel-owned scratch once per receive
-	// (core.Encoder's FrameBitsWaveformMixedTemplates), and
-	// MixedAddRange accumulates the [lo, hi) clip of the placed frame
-	// into the receive buffer from those templates
-	// (FrameBitsWaveformMixedAddRange). When every contributing
-	// transmission provides both, the channel partitions the buffer into
-	// cache-sized tiles, each accumulated and noise-filled
-	// independently — in parallel across the worker pool, bit-identical
-	// to the serial pass at any worker count. In a mixed fleet these
-	// closures are ignored (the legacy paths run); a transmission meant
-	// for both regimes should also set Mixed.
-	MixedTmpl     func(tmpl []complex128, fracSamples, freqOffsetHz float64, gain complex128) []complex128
+	// MixedTmpl synthesizes the frame's templates — fractional delay,
+	// frequency offset and carrier gain folded in — into tmpl's storage
+	// when its capacity suffices, once per receive
+	// (core.Encoder's FrameBitsWaveformMixedTemplates).
+	MixedTmpl func(tmpl []complex128, fracSamples, freqOffsetHz float64, gain complex128) []complex128
+	// MixedAddRange accumulates the [lo, hi) clip of the frame placed
+	// at sample offset at into out, reading the templates MixedTmpl
+	// returned (FrameBitsWaveformMixedAddRange). The channel calls it
+	// concurrently for disjoint ranges.
 	MixedAddRange func(out []complex128, lo, hi, at int, tmpl []complex128, fracSamples, freqOffsetHz float64)
 	// SNRdB is the received signal-to-noise ratio at the AP over the
 	// receive bandwidth (power versus the unit noise floor).
@@ -83,21 +47,45 @@ type Transmission struct {
 	FixedPhase bool
 }
 
-// hasWave reports whether the transmission contributes any samples.
-func (tx *Transmission) hasWave() bool {
-	return tx.Mixed != nil || tx.MixedAdd != nil || tx.MixedTmpl != nil ||
-		tx.DelayedInto != nil || tx.Delayed != nil || len(tx.Waveform) > 0
-}
-
-// tiled reports whether the transmission supports the tiled path.
-func (tx *Transmission) tiled() bool {
+// contributes reports whether the transmission adds any samples.
+func (tx *Transmission) contributes() bool {
 	return tx.MixedTmpl != nil && tx.MixedAddRange != nil
 }
 
-// placement splits the transmission's arrival delay into the integer
-// sample placement and the fractional remainder synthesis bakes in.
-func (tx *Transmission) placement(sampleRate float64) (intDelay int, fracSamples float64) {
-	return splitDelay(tx.DelaySec, sampleRate)
+// WaveformTx returns a transmission carrying an arbitrary time-domain
+// waveform (a CSS or ASK symbol train, a test signal); callers set the
+// scalar fields. Its template is the whole waveform, fractionally
+// delayed by bandlimited interpolation, rotated by the frequency offset
+// and scaled by the carrier gain, and each tile superposes its clip of
+// it. Cyclically shifted chirps are not bandlimited (the shift wrap is
+// a genuine discontinuity), so interpolation cannot represent their
+// sub-sample delays exactly — NetScatter frames use core.Encoder.Tx,
+// whose analytic synthesis can. An empty waveform contributes nothing.
+func WaveformTx(w []complex128, sampleRate float64) Transmission {
+	if len(w) == 0 {
+		return Transmission{}
+	}
+	return Transmission{
+		MixedTmpl: func(tmpl []complex128, frac, freqHz float64, gain complex128) []complex128 {
+			if frac > 1e-9 {
+				tmpl = dsp.FractionalDelay(w, frac)
+			} else {
+				tmpl = append(tmpl[:0], w...)
+			}
+			chirp.ApplyFreqOffset(tmpl, freqHz, sampleRate)
+			for j := range tmpl {
+				tmpl[j] *= gain
+			}
+			return tmpl
+		},
+		MixedAddRange: superposeRange,
+	}
+}
+
+// superposeRange is WaveformTx's range add: the [lo, hi) clip of the
+// template placed at sample offset at.
+func superposeRange(out []complex128, lo, hi, at int, tmpl []complex128, _, _ float64) {
+	radio.Superpose(out[lo:hi], tmpl, at-lo)
 }
 
 // splitDelay splits an arrival delay into integer sample placement and
@@ -121,30 +109,14 @@ type Channel struct {
 	// Rng drives noise, phases and nothing else.
 	Rng *dsp.Rand
 
-	// Reused per-call scratch: carrier gains, channel-owned per-slot
-	// synthesis buffers, the per-slot result views superposition reads
-	// (results[k] aliases bufs[k] for channel-synthesized waveforms but
-	// stays distinct for Delayed-path buffers, which the callback owns
-	// and must never be handed to a later transmission to overwrite),
-	// integer placements, plus the persistent worker closure and the
-	// in-flight chunk state it reads (a fresh closure per chunk would
-	// heap-allocate every round).
-	gains   []complex128
-	bufs    [][]complex128
-	results [][]complex128
-	delays  []int
-	tmpl    []complex128 // template scratch for the fused MixedAdd path
-
-	worker func(k int)
-	curTxs []Transmission
-	curLo  int
-	serial bool // this receive runs on a single-slot pool (fixed per call)
-
-	// Tiled-path state: the per-transmission template arena (2N samples
-	// per device, synthesized once per receive and read by every tile),
-	// per-transmission placements, and the persistent tile/template
-	// workers with the in-flight call state they read. All of it is
-	// written before the fan-out and only read inside it.
+	// Reused per-call state: carrier gains, the per-transmission
+	// template arena (2N samples per device, synthesized once per
+	// receive and read by every tile), per-transmission placements, and
+	// the persistent template/tile workers with the in-flight call state
+	// they read (a fresh closure per call would heap-allocate every
+	// round). All of it is written before the fan-out and only read
+	// inside it.
+	gains     []complex128
 	tmplArena []complex128
 	tmpls     [][]complex128
 	txAt      []int
@@ -152,12 +124,13 @@ type Channel struct {
 
 	tmplWorker func(i int)
 	tileWorker func(t int)
+	curTxs     []Transmission
 	curOut     []complex128
 	curKey     int64
 	noiseOn    bool
 }
 
-// tileSamples is the tiled path's partition grain: 4096 complex samples
+// tileSamples is the channel's partition grain: 4096 complex samples
 // (64 KiB) keep a tile's accumulate and noise traffic cache-resident
 // while leaving enough tiles per frame to occupy the pool. It is a
 // constant of the output format — never derived from worker count — so
@@ -179,40 +152,37 @@ func (c *Channel) Receive(length int, txs []Transmission) []complex128 {
 // ReceiveInto builds the received stream into out (which is zeroed
 // first) and returns it. Each transmission is scaled to its SNR,
 // rotated by its frequency offset, delayed by its arrival offset
-// (integer placement plus an analytic or windowed-sinc fractional
-// delay, so timing offsets behave physically for both upchirps and
+// (integer placement plus a fractional delay baked into its templates,
+// so timing offsets behave physically for both upchirps and
 // downchirps), given a random carrier phase, and superposed, with
 // thermal noise added on top.
 //
-// When every contributing transmission supports the tiled regime
-// (MixedTmpl + MixedAddRange — the sim's round path), the whole
-// receive is tiled: templates are synthesized once per device (in
-// parallel), then fixed cache-sized tiles of out are zeroed,
-// accumulated in transmission order and noise-filled independently
-// across the worker pool. Otherwise the legacy chunked synthesis +
-// superpose path runs, followed by the same tile-grid noise.
+// Templates are synthesized once per transmission (in parallel), then
+// fixed cache-sized tiles of out are zeroed, accumulated in
+// transmission order and noise-filled independently across the worker
+// pool.
 //
-// Determinism is exact in both regimes: carrier phases are drawn from
-// the channel Rng in transmission order before any fan-out, one more
-// serial draw keys the round's noise, synthesis draws no randomness,
-// per-sample accumulation order is transmission order regardless of
-// tile scheduling, and each tile's noise comes from its tile-indexed
-// stream (dsp.StreamAt) rather than any worker-owned generator — so
-// the output is bit-identical for a given seed at any GOMAXPROCS.
+// Determinism is exact: carrier phases are drawn from the channel Rng
+// in transmission order before any fan-out, one more serial draw keys
+// the round's noise, synthesis draws no randomness, per-sample
+// accumulation order is transmission order regardless of tile
+// scheduling, and each tile's noise comes from its tile-indexed stream
+// (dsp.StreamAt) rather than any worker-owned generator — so the output
+// is bit-identical for a given seed at any GOMAXPROCS.
 func (c *Channel) ReceiveInto(out []complex128, txs []Transmission) []complex128 {
-	tiledAll := c.prepareGains(txs)
+	c.prepareGains(txs)
 
 	// The round's noise key: one serial draw from the channel Rng keys
 	// every tile's noise stream (dsp.StreamAt(key, tile)). Noise is thus
 	// a pure function of the Rng sequence and the fixed tile grid —
-	// replayable by reseeding the Rng, identical at any worker count,
-	// and identical between the tiled and legacy accumulate regimes.
+	// replayable by reseeding the Rng and identical at any worker count.
 	noise := c.NoisePower > 0 && c.Rng != nil
 	var key int64
 	if noise {
 		key = int64(c.Rng.Uint64())
 	}
-	return c.receiveWithKey(out, txs, tiledAll, noise, key)
+	c.receive(out, txs, noise, key)
+	return out
 }
 
 // ReceiveIntoKeyed is ReceiveInto with the round's noise key supplied
@@ -224,31 +194,26 @@ func (c *Channel) ReceiveInto(out []complex128, txs []Transmission) []complex128
 // Channel handed the same key and per-AP transmissions must reproduce
 // that AP's buffer bit for bit (see MultiChannel and multiap tests).
 func (c *Channel) ReceiveIntoKeyed(out []complex128, txs []Transmission, key int64) []complex128 {
-	tiledAll := c.prepareGains(txs)
-	return c.receiveWithKey(out, txs, tiledAll, c.NoisePower > 0, key)
+	c.prepareGains(txs)
+	c.receive(out, txs, c.NoisePower > 0, key)
+	return out
 }
 
 // prepareGains fills the per-transmission carrier gains (SNR amplitude
-// × optional fade × random carrier phase, drawn from the channel Rng in
-// transmission order before any fan-out) and reports whether every
-// contributing transmission supports the tiled regime.
-func (c *Channel) prepareGains(txs []Transmission) (tiledAll bool) {
+// × optional fade × random carrier phase), drawn from the channel Rng
+// in transmission order before any fan-out.
+func (c *Channel) prepareGains(txs []Transmission) {
 	if cap(c.gains) < len(txs) {
 		c.gains = make([]complex128, len(txs))
 	}
 	gains := c.gains[:len(txs)]
-	tiledAll = true
 	for i := range txs {
 		tx := &txs[i]
-		if !tx.hasWave() {
-			continue // no waveform: consumes no randomness, as before
-		}
-		if !tx.tiled() {
-			tiledAll = false
+		if !tx.contributes() {
+			continue // no waveform: consumes no randomness
 		}
 		gains[i] = carrierGain(tx.SNRdB, tx.FadeGain, tx.FixedPhase, c.Rng)
 	}
-	return tiledAll
 }
 
 // carrierGain composes one link's carrier gain: SNR amplitude, then the
@@ -266,38 +231,18 @@ func carrierGain(snrDB float64, fade complex128, fixedPhase bool, rng *dsp.Rand)
 	return gain
 }
 
-// receiveWithKey runs the accumulate + noise phases of a receive with
-// the gains already prepared and the noise key fixed.
-func (c *Channel) receiveWithKey(out []complex128, txs []Transmission, tiledAll, noise bool, key int64) []complex128 {
-	if tiledAll {
-		// Tiled path: every contributing transmission synthesizes
-		// templates once, then disjoint tiles accumulate and
-		// noise-fill independently across the pool.
-		c.receiveTiled(out, txs, noise, key)
-		return out
-	}
-
-	for i := range out {
-		out[i] = 0
-	}
-	c.receiveLegacy(out, txs)
-	if noise {
-		c.addNoiseTiled(out, key)
-	}
-	return out
-}
-
-// receiveTiled is the tiled channel path. Phase one synthesizes every
-// transmission's mixed template symbols into the channel's template
-// arena (independent per transmission, fanned across the pool). Phase
-// two partitions out into fixed tileSamples-sized tiles; each tile
-// zeroes its span, accumulates every transmission's overlap in
-// transmission order, and adds its own noise stream — bit-identical to
-// the serial whole-buffer pass because each output sample sees the
-// same additions in the same order no matter how tiles are scheduled,
-// and each tile's noise comes from the tile-indexed stream, not from a
-// worker-owned generator.
-func (c *Channel) receiveTiled(out []complex128, txs []Transmission, noise bool, key int64) {
+// receive runs the accumulate + noise phases with the gains already
+// prepared and the noise key fixed. Phase one synthesizes every
+// transmission's templates into the channel's template arena
+// (independent per transmission, fanned across the pool). Phase two
+// partitions out into fixed tileSamples-sized tiles; each tile zeroes
+// its span, accumulates every transmission's overlap in transmission
+// order, and adds its own noise stream — bit-identical to the serial
+// whole-buffer pass because each output sample sees the same additions
+// in the same order no matter how tiles are scheduled, and each tile's
+// noise comes from the tile-indexed stream, not from a worker-owned
+// generator.
+func (c *Channel) receive(out []complex128, txs []Transmission, noise bool, key int64) {
 	nTx := len(txs)
 	n2 := 2 * c.Params.N()
 	if cap(c.txAt) < nTx {
@@ -313,7 +258,7 @@ func (c *Channel) receiveTiled(out []complex128, txs []Transmission, noise bool,
 	c.tmpls = c.tmpls[:nTx]
 	fs := c.Params.SampleRate()
 	for i := range txs {
-		c.txAt[i], c.txFrac[i] = txs[i].placement(fs)
+		c.txAt[i], c.txFrac[i] = splitDelay(txs[i].DelaySec, fs)
 		c.tmpls[i] = c.tmplArena[i*n2 : i*n2 : (i+1)*n2]
 	}
 
@@ -332,11 +277,11 @@ func (c *Channel) receiveTiled(out []complex128, txs []Transmission, noise bool,
 	c.curOut = nil
 }
 
-// tmplOne synthesizes transmission i's template symbols into its arena
-// slot (frequency offset, carrier gain and fractional delay folded in).
+// tmplOne synthesizes transmission i's templates into its arena slot
+// (frequency offset, carrier gain and fractional delay folded in).
 func (c *Channel) tmplOne(i int) {
 	tx := &c.curTxs[i]
-	if !tx.tiled() || !tx.hasWave() {
+	if !tx.contributes() {
 		return
 	}
 	c.tmpls[i] = tx.MixedTmpl(c.tmpls[i], c.txFrac[i], tx.FreqOffsetHz, c.gains[i])
@@ -354,7 +299,7 @@ func (c *Channel) tileOne(t int) {
 	}
 	for i := range c.curTxs {
 		tx := &c.curTxs[i]
-		if !tx.tiled() {
+		if !tx.contributes() {
 			continue
 		}
 		tx.MixedAddRange(out, lo, hi, c.txAt[i], c.tmpls[i], c.txFrac[i], tx.FreqOffsetHz)
@@ -363,157 +308,6 @@ func (c *Channel) tileOne(t int) {
 		st := dsp.StreamAt(c.curKey, uint64(t))
 		radio.AddAWGN(&st, w, c.NoisePower)
 	}
-}
-
-// addNoiseTiled adds the same tile-grid noise the tiled path would —
-// the legacy accumulate regimes share one noise definition, so a
-// channel's output depends only on its Rng sequence and configuration,
-// never on which synthesis closures the transmissions offered.
-func (c *Channel) addNoiseTiled(out []complex128, key int64) {
-	for t, lo := 0, 0; lo < len(out); t, lo = t+1, lo+tileSamples {
-		hi := min(lo+tileSamples, len(out))
-		st := dsp.StreamAt(key, uint64(t))
-		radio.AddAWGN(&st, out[lo:hi], c.NoisePower)
-	}
-}
-
-// receiveLegacy accumulates the composite signal for fleets that do not
-// (all) support the tiled path. Synthesis runs in bounded chunks: a
-// chunk's waveforms are built in parallel, then superposed serially in
-// transmission order before the next chunk starts, so peak memory stays
-// O(chunk) frames instead of O(devices) while the sample-level output
-// is identical. Slot buffers persist on the channel, so steady-state
-// rounds with DelayedInto transmissions synthesize into reused storage.
-//
-// With a single-slot pool the fan-out would run inline anyway, so the
-// channel takes the fused path instead: MixedAdd transmissions
-// accumulate straight into out from their template symbols, never
-// materializing a frame — bit-identical to synthesize + Superpose (see
-// synth.FrameMixedAccumulate) but without the frame-sized write+read
-// round trip per device.
-func (c *Channel) receiveLegacy(out []complex128, txs []Transmission) {
-	chunk := pool.Size() * 2
-	if chunk < 1 {
-		chunk = 1
-	}
-	nSlots := min(chunk, len(txs))
-	if len(c.bufs) < nSlots {
-		c.bufs = append(c.bufs, make([][]complex128, nSlots-len(c.bufs))...)
-		c.results = make([][]complex128, nSlots)
-		c.delays = make([]int, nSlots)
-	}
-	if c.worker == nil {
-		c.worker = c.synthOne
-	}
-	c.curTxs = txs
-	c.serial = pool.Size() == 1
-	fs := c.Params.SampleRate()
-	for lo := 0; lo < len(txs); lo += chunk {
-		hi := min(lo+chunk, len(txs))
-		c.curLo = lo
-		if !c.serial {
-			// Fan synthesis out; fused transmissions are skipped by
-			// synthOne and handled inline below.
-			pool.ForEach(hi-lo, c.worker)
-		}
-		// Superpose in transmission order. MixedAdd transmissions that
-		// skipped slot synthesis accumulate inline; runs of synthesized
-		// slots between them land in one SuperposeBatch pass.
-		k := 0
-		for k < hi-lo {
-			tx := &txs[lo+k]
-			if c.fusedAdd(tx) {
-				at, frac := tx.placement(fs)
-				c.tmpl = tx.MixedAdd(out, at, c.tmpl, frac, tx.FreqOffsetHz, c.gains[lo+k])
-				c.results[k] = nil
-				k++
-				continue
-			}
-			if c.serial {
-				c.synthOne(k)
-			}
-			j := k + 1
-			for j < hi-lo && !c.fusedAdd(&txs[lo+j]) {
-				if c.serial {
-					c.synthOne(j)
-				}
-				j++
-			}
-			radio.SuperposeBatch(out, c.results[k:j], c.delays[k:j])
-			for ; k < j; k++ {
-				c.results[k] = nil
-			}
-		}
-	}
-	c.curTxs = nil
-}
-
-// fusedAdd reports whether tx takes the fused accumulate path on this
-// receive: always when it offers only MixedAdd, and on the serial path
-// whenever MixedAdd is present. (In parallel mode a transmission with
-// both closures synthesizes through Mixed so the pool can build frames
-// concurrently; the two routes produce identical bits.) The decision
-// reads the per-call serial flag, not pool.Size(), so one receive never
-// mixes regimes even if GOMAXPROCS changes mid-call.
-func (c *Channel) fusedAdd(tx *Transmission) bool {
-	if tx.MixedAdd == nil {
-		return false
-	}
-	return tx.Mixed == nil || c.serial
-}
-
-// synthOne synthesizes chunk slot k of the in-flight ReceiveInto call:
-// the transmission's delayed waveform, frequency-rotated and scaled
-// into the channel's slot buffer, ready for serial superposition.
-func (c *Channel) synthOne(k int) {
-	i := c.curLo + k
-	tx := &c.curTxs[i]
-	if c.fusedAdd(tx) {
-		// Handled inline by the superposition loop — synthesizing a
-		// frame here would only be thrown away.
-		c.results[k] = nil
-		return
-	}
-	fs := c.Params.SampleRate()
-	intDelay, fracSamples := tx.placement(fs)
-	c.delays[k] = intDelay
-
-	if tx.Mixed != nil {
-		// Frequency offset and carrier gain are applied inside the
-		// synthesis recurrence — nothing left to do here.
-		c.bufs[k] = tx.Mixed(c.bufs[k][:0], fracSamples, tx.FreqOffsetHz, c.gains[i])
-		c.results[k] = c.bufs[k]
-		return
-	}
-	var buf []complex128
-	owned := false // does buf belong to the channel's slot storage?
-	switch {
-	case tx.DelayedInto != nil:
-		buf = tx.DelayedInto(c.bufs[k][:0], fracSamples)
-		owned = true
-	case tx.Delayed != nil:
-		// The callback owns the returned slice; superpose from it but
-		// never adopt it as slot storage a later call would overwrite.
-		buf = tx.Delayed(fracSamples)
-	case fracSamples > 1e-9 && len(tx.Waveform) > 0:
-		buf = dsp.FractionalDelay(tx.Waveform, fracSamples)
-	case len(tx.Waveform) > 0:
-		buf = growComplex(c.bufs[k][:0], len(tx.Waveform))
-		copy(buf, tx.Waveform)
-		owned = true
-	default:
-		c.results[k] = nil
-		return
-	}
-	chirp.ApplyFreqOffset(buf, tx.FreqOffsetHz, fs)
-	gain := c.gains[i]
-	for j := range buf {
-		buf[j] *= gain
-	}
-	if owned {
-		c.bufs[k] = buf
-	}
-	c.results[k] = buf
 }
 
 // growComplex returns dst extended to length m, reusing its storage

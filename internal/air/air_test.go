@@ -10,6 +10,15 @@ import (
 
 var tp = chirp.Params{SF: 7, BW: 125e3, Oversample: 1}
 
+// waveTx is WaveformTx at tp's sample rate with the given SNR and a
+// fixed carrier phase.
+func waveTx(w []complex128, snrDB float64) Transmission {
+	tx := WaveformTx(w, tp.SampleRate())
+	tx.SNRdB = snrDB
+	tx.FixedPhase = true
+	return tx
+}
+
 func TestReceiveScalesToSNR(t *testing.T) {
 	rng := dsp.NewRand(1)
 	ch := NewChannel(tp, rng)
@@ -18,7 +27,7 @@ func TestReceiveScalesToSNR(t *testing.T) {
 	for i := range wave {
 		wave[i] = 1
 	}
-	sig := ch.Receive(4096, []Transmission{{Waveform: wave, SNRdB: 13, FixedPhase: true}})
+	sig := ch.Receive(4096, []Transmission{waveTx(wave, 13)})
 	want := math.Pow(10, 1.3)
 	if got := dsp.SignalPower(sig); math.Abs(got-want)/want > 1e-9 {
 		t.Fatalf("signal power %v, want %v", got, want)
@@ -40,37 +49,38 @@ func TestReceiveIntegerDelayPlacement(t *testing.T) {
 	ch.NoisePower = 0
 	wave := []complex128{1, 2, 3}
 	fs := tp.SampleRate()
-	sig := ch.Receive(10, []Transmission{{Waveform: wave, SNRdB: 0, DelaySec: 4 / fs, FixedPhase: true}})
+	tx := waveTx(wave, 0)
+	tx.DelaySec = 4 / fs
+	sig := ch.Receive(10, []Transmission{tx})
 	if sig[3] != 0 || sig[4] != 1 || sig[5] != 2 || sig[6] != 3 {
 		t.Fatalf("placement wrong: %v", sig[:8])
 	}
 }
 
 func TestReceiveFractionalDelayMovesChirpPeak(t *testing.T) {
-	// The whole reason Delayed exists: a half-sample delay must move
-	// the dechirped peak by ~-0.5 bins, impossible to represent by
+	// Why templates take the fractional delay: a half-sample delay must
+	// move the dechirped peak by ~-0.5 bins, impossible to represent by
 	// resampling the stored waveform.
 	dem := chirp.NewDemodulator(tp, 16)
 	rng := dsp.NewRand(4)
 	ch := NewChannel(tp, rng)
 	ch.NoisePower = 0
 
-	delayed := func(frac float64) []complex128 {
-		out := make([]complex128, tp.N()+1)
-		for j := range out {
-			u := float64(j) - frac
-			if u < 0 || u >= float64(tp.N()) {
-				continue
+	delayed := func(tmpl []complex128, frac, _ float64, gain complex128) []complex128 {
+		tmpl = growComplex(tmpl, tp.N()+1)
+		for j := range tmpl {
+			tmpl[j] = 0
+			if u := float64(j) - frac; u >= 0 && u < float64(tp.N()) {
+				tmpl[j] = gain * chirp.EvalShifted(tp, 20, u)
 			}
-			out[j] = chirp.EvalShifted(tp, 20, u)
 		}
-		return out
+		return tmpl
 	}
 	sig := ch.Receive(2*tp.N(), []Transmission{{
-		Delayed:    delayed,
-		SNRdB:      0,
-		DelaySec:   0.5 / tp.SampleRate(),
-		FixedPhase: true,
+		MixedTmpl:     delayed,
+		MixedAddRange: superposeRange,
+		DelaySec:      0.5 / tp.SampleRate(),
+		FixedPhase:    true,
 	}})
 	frac, _ := dem.PeakFrac(sig[:tp.N()])
 	if math.Abs(frac-19.5) > 0.1 {
@@ -84,12 +94,9 @@ func TestReceiveFreqOffset(t *testing.T) {
 	rng := dsp.NewRand(5)
 	ch := NewChannel(tp, rng)
 	ch.NoisePower = 0
-	sig := ch.Receive(tp.N(), []Transmission{{
-		Waveform:     mod.Symbol(10),
-		SNRdB:        0,
-		FreqOffsetHz: 2 * tp.BinHz(),
-		FixedPhase:   true,
-	}})
+	tx := waveTx(mod.Symbol(10), 0)
+	tx.FreqOffsetHz = 2 * tp.BinHz()
+	sig := ch.Receive(tp.N(), []Transmission{tx})
 	frac, _ := dem.PeakFrac(sig)
 	if math.Abs(frac-12) > 0.1 {
 		t.Fatalf("offset peak at %v, want 12", frac)
@@ -102,10 +109,9 @@ func TestReceiveSuperposesMultiple(t *testing.T) {
 	rng := dsp.NewRand(6)
 	ch := NewChannel(tp, rng)
 	ch.NoisePower = 0
-	sig := ch.Receive(tp.N(), []Transmission{
-		{Waveform: mod.Symbol(5), SNRdB: 10},
-		{Waveform: mod.Symbol(80), SNRdB: 10},
-	})
+	a, b := WaveformTx(mod.Symbol(5), tp.SampleRate()), WaveformTx(mod.Symbol(80), tp.SampleRate())
+	a.SNRdB, b.SNRdB = 10, 10
+	sig := ch.Receive(tp.N(), []Transmission{a, b})
 	spec := dem.Spectrum(sig)
 	p5, _ := chirp.PeakNear(dem, spec, 5, 0.5)
 	p80, _ := chirp.PeakNear(dem, spec, 80, 0.5)
@@ -120,9 +126,9 @@ func TestReceiveFadeGain(t *testing.T) {
 	ch := NewChannel(tp, rng)
 	ch.NoisePower = 0
 	wave := []complex128{1, 1, 1, 1}
-	sig := ch.Receive(4, []Transmission{{
-		Waveform: wave, SNRdB: 0, FadeGain: complex(0.5, 0), FixedPhase: true,
-	}})
+	tx := waveTx(wave, 0)
+	tx.FadeGain = complex(0.5, 0)
+	sig := ch.Receive(4, []Transmission{tx})
 	if math.Abs(real(sig[0])-0.5) > 1e-12 {
 		t.Fatalf("fade gain not applied: %v", sig[0])
 	}

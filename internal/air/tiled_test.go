@@ -13,28 +13,6 @@ import (
 	"netscatter/internal/simtest"
 )
 
-// TestReceiveTiledMatchesMixedBitExact pins the tiled path against the
-// legacy Mixed path: with identical rng sequences the two regimes must
-// produce bit-identical received streams including noise — the
-// per-sample accumulation argument for the signal (same products, same
-// transmission order) plus the shared tile-grid noise definition.
-func TestReceiveTiledMatchesMixedBitExact(t *testing.T) {
-	p := simtest.SmallParams()
-	const nDev = 9
-	bits := simtest.Bits(nDev, 14, 4)
-
-	length := (8 + 14 + 2) * p.N()
-	chA := air.NewChannel(p, dsp.NewRand(77))
-	outA := chA.Receive(length, simtest.TiledTxs(p, nDev, bits, false))
-	chB := air.NewChannel(p, dsp.NewRand(77))
-	outB := chB.Receive(length, simtest.TiledTxs(p, nDev, bits, true))
-	for i := range outA {
-		if outA[i] != outB[i] {
-			t.Fatalf("tiled and mixed paths diverge at sample %d: %v vs %v", i, outA[i], outB[i])
-		}
-	}
-}
-
 // TestReceiveTiledParallelBitIdenticalRace pins the tentpole's
 // determinism contract under the race detector: the tiled receive is
 // bit-identical across GOMAXPROCS 1, 2 and 4 — tile-indexed noise
@@ -50,10 +28,10 @@ func TestReceiveTiledParallelBitIdenticalRace(t *testing.T) {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
 		ch := air.NewChannel(p, dsp.NewRand(31))
-		out := ch.Receive(length, simtest.TiledTxs(p, nDev, bits, false))
+		out := ch.Receive(length, simtest.TiledTxs(p, nDev, bits))
 		// A second round through the same channel exercises arena reuse.
 		ch.Rng = dsp.NewRand(31)
-		out2 := ch.ReceiveInto(make([]complex128, length), simtest.TiledTxs(p, nDev, bits, false))
+		out2 := ch.ReceiveInto(make([]complex128, length), simtest.TiledTxs(p, nDev, bits))
 		for i := range out {
 			if out[i] != out2[i] {
 				t.Fatalf("procs=%d: arena reuse diverged at sample %d", procs, i)
@@ -111,7 +89,7 @@ func TestReceiveTiledZeroAllocSteadyState(t *testing.T) {
 	p := simtest.SmallParams()
 	const nDev = 6
 	bits := simtest.Bits(nDev, 10, 6)
-	txs := simtest.TiledTxs(p, nDev, bits, false)
+	txs := simtest.TiledTxs(p, nDev, bits)
 	ch := air.NewChannel(p, dsp.NewRand(9))
 	out := make([]complex128, (8+10+2)*p.N())
 	ch.ReceiveInto(out, txs)

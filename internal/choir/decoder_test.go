@@ -26,12 +26,9 @@ func choirScenario(t *testing.T, offsetsHz []float64, nSymbols int, seed int64) 
 		for s := range truth[d] {
 			truth[d][s] = rng.Intn(p.Chips())
 		}
-		wave := modem.ModulateSymbols(nil, truth[d])
-		txs = append(txs, air.Transmission{
-			Waveform:     wave,
-			SNRdB:        12,
-			FreqOffsetHz: offsetsHz[d],
-		})
+		tx := air.WaveformTx(modem.ModulateSymbols(nil, truth[d]), p.SampleRate())
+		tx.SNRdB, tx.FreqOffsetHz = 12, offsetsHz[d]
+		txs = append(txs, tx)
 	}
 	ch := air.NewChannel(p, rng)
 	sig := ch.Receive(nSymbols*p.N(), txs)

@@ -15,15 +15,9 @@ var testParams = chirp.Params{SF: 7, BW: 125e3, Oversample: 1}
 
 // deviceTx builds a Transmission with exact fractional-delay synthesis.
 func deviceTx(enc *Encoder, payload []byte, snrDB, delaySec, dfHz float64) air.Transmission {
-	return air.Transmission{
-		Waveform: enc.FrameWaveform(payload),
-		Delayed: func(frac float64) []complex128 {
-			return enc.FrameWaveformDelayed(payload, frac)
-		},
-		SNRdB:        snrDB,
-		DelaySec:     delaySec,
-		FreqOffsetHz: dfHz,
-	}
+	tx := enc.Tx(FrameBits(payload))
+	tx.SNRdB, tx.DelaySec, tx.FreqOffsetHz = snrDB, delaySec, dfHz
+	return tx
 }
 
 func frameStream(t *testing.T, p chirp.Params, skip int, txs []air.Transmission, payloadBits, seed int64) ([]complex128, *Decoder) {
@@ -43,7 +37,7 @@ func TestDecodeSingleDeviceClean(t *testing.T) {
 	payload := []byte{0xA5, 0x3C, 0x00, 0xFF}
 	enc := NewEncoder(p, 4)
 	bits := FrameBits(payload)
-	tx := air.Transmission{Waveform: enc.FrameWaveform(payload), SNRdB: 10}
+	tx := deviceTx(enc, payload, 10, 0, 0)
 	sig, dec := frameStream(t, p, 2, []air.Transmission{tx}, int64(len(bits)), 1)
 
 	res, err := dec.DecodeFrame(sig, 0, []int{4}, len(bits))
@@ -67,7 +61,7 @@ func TestDecodeAbsentDeviceNotDetected(t *testing.T) {
 	payload := []byte{0x11, 0x22}
 	enc := NewEncoder(p, 8)
 	bits := FrameBits(payload)
-	tx := air.Transmission{Waveform: enc.FrameWaveform(payload), SNRdB: 5}
+	tx := deviceTx(enc, payload, 5, 0, 0)
 	sig, dec := frameStream(t, p, 2, []air.Transmission{tx}, int64(len(bits)), 2)
 
 	// Candidate shifts: the real device plus two silent ones.
@@ -102,10 +96,7 @@ func TestDecodeManyConcurrentDevices(t *testing.T) {
 		shifts[i] = book.ShiftOfSlot(i)
 		payloads[i] = rng.Bytes(payloadBytes)
 		enc := NewEncoder(p, shifts[i])
-		txs = append(txs, air.Transmission{
-			Waveform: enc.FrameWaveform(payloads[i]),
-			SNRdB:    rng.Uniform(3, 9),
-		})
+		txs = append(txs, deviceTx(enc, payloads[i], rng.Uniform(3, 9), 0, 0))
 	}
 	ch := air.NewChannel(p, rng)
 	sig := ch.Receive(ch.FrameLength(PreambleSymbols+bitsLen, 2), txs)
@@ -180,7 +171,7 @@ func TestDecodeBelowNoiseFloor(t *testing.T) {
 	payload := []byte{0x5A, 0xC3}
 	enc := NewEncoder(p, 6)
 	bits := FrameBits(payload)
-	tx := air.Transmission{Waveform: enc.FrameWaveform(payload), SNRdB: -10}
+	tx := deviceTx(enc, payload, -10, 0, 0)
 	sig, dec := frameStream(t, p, 2, []air.Transmission{tx}, int64(len(bits)), 99)
 
 	res, err := dec.DecodeFrame(sig, 0, []int{6}, len(bits))
@@ -207,7 +198,7 @@ func TestDecoderFFTCountIndependentOfDevices(t *testing.T) {
 	enc := NewEncoder(p, 0)
 	ch := air.NewChannel(p, dsp.NewRand(3))
 	sig := ch.Receive(ch.FrameLength(PreambleSymbols+bitsLen, 2),
-		[]air.Transmission{{Waveform: enc.FrameWaveform(payload), SNRdB: 8}})
+		[]air.Transmission{deviceTx(enc, payload, 8, 0, 0)})
 
 	dec := NewDecoder(book, DefaultDecoderConfig(2))
 	res1, err := dec.DecodeFrame(sig, 0, []int{0}, bitsLen)
@@ -241,7 +232,7 @@ func TestDecodeQuickPayloadRoundTrip(t *testing.T) {
 		bits := FrameBits(payload[:])
 		ch := air.NewChannel(p, rng)
 		sig := ch.Receive(ch.FrameLength(PreambleSymbols+len(bits), 2),
-			[]air.Transmission{{Waveform: enc.FrameWaveform(payload[:]), SNRdB: 12}})
+			[]air.Transmission{deviceTx(enc, payload[:], 12, 0, 0)})
 		res, err := dec.DecodeFrame(sig, 0, []int{shift}, len(bits))
 		if err != nil {
 			return false
@@ -291,10 +282,7 @@ func TestAggregateBandwidthDecode(t *testing.T) {
 		shifts[i] = book.ShiftOfSlot(i * (book.Slots() / nDev))
 		payloads[i] = rng.Bytes(payloadBytes)
 		enc := NewEncoder(p, shifts[i])
-		txs = append(txs, air.Transmission{
-			Waveform: enc.FrameWaveform(payloads[i]),
-			SNRdB:    8,
-		})
+		txs = append(txs, deviceTx(enc, payloads[i], 8, 0, 0))
 	}
 	ch := air.NewChannel(p, rng)
 	sig := ch.Receive(ch.FrameLength(PreambleSymbols+bitsLen, 2), txs)

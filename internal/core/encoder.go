@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"netscatter/internal/air"
 	"netscatter/internal/chirp"
 	"netscatter/internal/synth"
 )
@@ -60,52 +61,6 @@ func (e *Encoder) FrameWaveform(payload []byte) []complex128 {
 	return e.AppendFrame(dst, payload)
 }
 
-// FrameWaveformDelayed synthesizes the frame waveform delayed by frac
-// samples (0 <= frac < 1), evaluating each symbol's chirp phase at the
-// shifted time coordinates. This is the exact waveform a tag starting
-// frac samples late contributes to the AP's sample grid: sample j holds
-// frame((j - frac)), with samples near symbol boundaries correctly
-// falling into the previous symbol's tail. Integer delays are applied by
-// placement (air.Channel); together they realize arbitrary real-valued
-// hardware delays with exact chirp physics.
-func (e *Encoder) FrameWaveformDelayed(payload []byte, frac float64) []complex128 {
-	return e.FrameBitsWaveformDelayed(FrameBits(payload), frac)
-}
-
-// FrameBitsWaveformDelayed is FrameWaveformDelayed for a caller-supplied
-// bit section (already including any checksum).
-func (e *Encoder) FrameBitsWaveformDelayed(bits []byte, frac float64) []complex128 {
-	return e.FrameBitsWaveformDelayedInto(nil, bits, frac)
-}
-
-// FrameBitsWaveformDelayedInto is FrameBitsWaveformDelayed writing into
-// dst's storage when its capacity suffices — the simulator's round
-// context reuses one buffer per device across rounds, keeping the
-// per-round synthesis path allocation-free.
-func (e *Encoder) FrameBitsWaveformDelayedInto(dst []complex128, bits []byte, frac float64) []complex128 {
-	return e.syn.FrameDelayedInto(dst, e.shift, PreambleUpSymbols, PreambleDownSymbols, bits, frac)
-}
-
-// FrameBitsWaveformMixedInto synthesizes the delayed frame with a
-// frequency offset of freqOffsetHz and a complex carrier gain folded
-// into the recurrence — the waveform air.Channel would otherwise
-// produce by synthesizing, rotating and scaling in three passes.
-func (e *Encoder) FrameBitsWaveformMixedInto(dst []complex128, bits []byte, frac, freqOffsetHz float64, gain complex128) []complex128 {
-	omega := 2 * math.Pi * freqOffsetHz / e.p.SampleRate()
-	return e.syn.FrameMixedInto(dst, e.shift, PreambleUpSymbols, PreambleDownSymbols, bits, frac, omega, gain)
-}
-
-// FrameBitsWaveformMixedAdd accumulates the mixed frame directly into a
-// receive buffer at sample offset at, clipped to out's bounds — the
-// superposition step fused into synthesis, so the frame is never
-// materialized. tmpl is caller-owned template scratch (grown to 2N and
-// returned for reuse); out must have been accumulated from zeroed
-// storage (see synth.FrameMixedAccumulate for the exactness contract).
-func (e *Encoder) FrameBitsWaveformMixedAdd(out []complex128, at int, tmpl []complex128, bits []byte, frac, freqOffsetHz float64, gain complex128) []complex128 {
-	omega := 2 * math.Pi * freqOffsetHz / e.p.SampleRate()
-	return e.syn.FrameMixedAccumulate(out, at, tmpl, e.shift, PreambleUpSymbols, PreambleDownSymbols, bits, frac, omega, gain)
-}
-
 // FrameBitsWaveformMixedTemplates synthesizes the mixed frame's
 // template symbols into tmpl (grown to 2N and returned for reuse) —
 // the per-device setup step of the tiled channel path, after which any
@@ -119,12 +74,28 @@ func (e *Encoder) FrameBitsWaveformMixedTemplates(tmpl []complex128, bits []byte
 // FrameBitsWaveformMixedAddRange accumulates the [lo, hi) clip of the
 // mixed frame (placed at sample offset at) into out, reading templates
 // prepared by FrameBitsWaveformMixedTemplates with the same arguments.
-// Accumulating disjoint tiles that cover the buffer reproduces
-// FrameBitsWaveformMixedAdd bit for bit (see
+// Accumulating disjoint tiles that cover the buffer is bit-identical to
+// materializing the frame and superposing it (see
 // synth.FrameMixedAccumulateRange).
 func (e *Encoder) FrameBitsWaveformMixedAddRange(out []complex128, lo, hi, at int, tmpl []complex128, bits []byte, frac, freqOffsetHz float64) {
 	omega := 2 * math.Pi * freqOffsetHz / e.p.SampleRate()
 	e.syn.FrameMixedAccumulateRange(out, lo, hi, at, tmpl, PreambleUpSymbols, PreambleDownSymbols, bits, frac, omega)
+}
+
+// Tx returns the channel transmission of the frame carrying bits: the
+// template pair over FrameBitsWaveformMixedTemplates and
+// FrameBitsWaveformMixedAddRange, scalar fields left for the caller.
+// The closures read bits on every receive, so it must hold the same
+// frame for the transmission's lifetime.
+func (e *Encoder) Tx(bits []byte) air.Transmission {
+	return air.Transmission{
+		MixedTmpl: func(tmpl []complex128, frac, freqHz float64, gain complex128) []complex128 {
+			return e.FrameBitsWaveformMixedTemplates(tmpl, bits, frac, freqHz, gain)
+		},
+		MixedAddRange: func(out []complex128, lo, hi, at int, tmpl []complex128, frac, freqHz float64) {
+			e.FrameBitsWaveformMixedAddRange(out, lo, hi, at, tmpl, bits, frac, freqHz)
+		},
+	}
 }
 
 // OnFraction returns the fraction of payload symbols that carry energy

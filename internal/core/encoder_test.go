@@ -64,7 +64,7 @@ func TestFrameWaveformDelayedMatchesUndelayedAtZero(t *testing.T) {
 	enc := NewEncoder(p, 3)
 	payload := []byte{0xAB, 0xCD}
 	a := enc.FrameWaveform(payload)
-	b := enc.FrameWaveformDelayed(payload, 0)
+	b := enc.syn.FrameDelayedInto(nil, enc.shift, PreambleUpSymbols, PreambleDownSymbols, FrameBits(payload), 0)
 	if len(b) != len(a) {
 		t.Fatalf("lengths differ: %d vs %d", len(b), len(a))
 	}
@@ -82,7 +82,7 @@ func TestFrameWaveformDelayedSampleRelation(t *testing.T) {
 	enc := NewEncoder(p, 30)
 	payload := []byte{0xFF} // all ones: continuous chirps, easy to check
 	frac := 0.25
-	w := enc.FrameWaveformDelayed(payload, frac)
+	w := enc.syn.FrameDelayedInto(nil, enc.shift, PreambleUpSymbols, PreambleDownSymbols, FrameBits(payload), frac)
 	n := p.N()
 	// Check interior samples of the first preamble symbol.
 	for i := 1; i < n; i++ {
@@ -135,13 +135,9 @@ func TestGhostRejection(t *testing.T) {
 	bits := FrameBits(payload)
 	enc := NewEncoder(p, 400)
 	ch := air.NewChannel(p, rng)
-	sig := ch.Receive(ch.FrameLength(PreambleSymbols+len(bits), 2), []air.Transmission{{
-		Delayed: func(f float64) []complex128 {
-			return enc.FrameWaveformDelayed(payload, f)
-		},
-		SNRdB:    18,
-		DelaySec: 0.6e-6,
-	}})
+	tx := enc.Tx(bits)
+	tx.SNRdB, tx.DelaySec = 18, 0.6e-6
+	sig := ch.Receive(ch.FrameLength(PreambleSymbols+len(bits), 2), []air.Transmission{tx})
 	// Candidates: the real device plus many silent shifts that sit in
 	// its side-lobe skirt.
 	cands := []int{400, 396, 404, 410, 2, 102, 200}
@@ -173,10 +169,9 @@ func TestGhostRejectionSparesDistinctPayloads(t *testing.T) {
 	encA := NewEncoder(p, 0)
 	encB := NewEncoder(p, 256)
 	ch := air.NewChannel(p, rng)
-	sig := ch.Receive(ch.FrameLength(PreambleSymbols+bits, 2), []air.Transmission{
-		{Delayed: func(f float64) []complex128 { return encA.FrameWaveformDelayed(plA, f) }, SNRdB: 18},
-		{Delayed: func(f float64) []complex128 { return encB.FrameWaveformDelayed(plB, f) }, SNRdB: -2},
-	})
+	txA, txB := encA.Tx(FrameBits(plA)), encB.Tx(FrameBits(plB))
+	txA.SNRdB, txB.SNRdB = 18, -2
+	sig := ch.Receive(ch.FrameLength(PreambleSymbols+bits, 2), []air.Transmission{txA, txB})
 	res, err := dec.DecodeFrame(sig, 0, []int{0, 256}, bits)
 	if err != nil {
 		t.Fatal(err)

@@ -31,14 +31,9 @@ func buildConcurrentFrame(t testing.TB, p chirp.Params, skip, nDev int, seed int
 		shifts[i] = book.ShiftOfSlot(i)
 		enc := NewEncoder(p, shifts[i])
 		pl := rng.Bytes(payloadBytes)
-		txs = append(txs, air.Transmission{
-			Delayed: func(frac float64) []complex128 {
-				return enc.FrameWaveformDelayed(pl, frac)
-			},
-			SNRdB:        rng.Uniform(3, 10),
-			DelaySec:     rng.Uniform(0, 0.4) / p.BW,
-			FreqOffsetHz: rng.Normal(0, 200),
-		})
+		snr := rng.Uniform(3, 10)
+		delay := rng.Uniform(0, 0.4) / p.BW
+		txs = append(txs, deviceTx(enc, pl, snr, delay, rng.Normal(0, 200)))
 	}
 	ch := air.NewChannel(p, rng)
 	sig := ch.Receive(ch.FrameLength(PreambleSymbols+bitsLen, 2), txs)

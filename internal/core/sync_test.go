@@ -22,11 +22,7 @@ func TestEstimateStartFindsFrame(t *testing.T) {
 		enc := NewEncoder(p, 10)
 		ch := air.NewChannel(p, rng)
 		length := trueStart + (PreambleSymbols+len(bits)+2)*n
-		sig := ch.Receive(length, []air.Transmission{{
-			Waveform: enc.FrameWaveform(payload),
-			SNRdB:    8,
-			DelaySec: float64(trueStart) / p.SampleRate(),
-		}})
+		sig := ch.Receive(length, []air.Transmission{deviceTx(enc, payload, 8, float64(trueStart)/p.SampleRate(), 0)})
 		nominal := trueStart + n/3 // off by a third of a symbol
 		if nominal+PreambleSymbols*n > length {
 			nominal = trueStart
@@ -51,11 +47,7 @@ func TestEstimateStartMultiDevice(t *testing.T) {
 	var txs []air.Transmission
 	for i := 0; i < 8; i++ {
 		enc := NewEncoder(p, book.ShiftOfSlot(i))
-		txs = append(txs, air.Transmission{
-			Waveform: enc.FrameWaveform(payload),
-			SNRdB:    6,
-			DelaySec: float64(trueStart) / p.SampleRate(),
-		})
+		txs = append(txs, deviceTx(enc, payload, 6, float64(trueStart)/p.SampleRate(), 0))
 	}
 	ch := air.NewChannel(p, rng)
 	sig := ch.Receive(trueStart+(PreambleSymbols+len(bits)+2)*n, txs)
@@ -93,15 +85,9 @@ func TestMidpointOffsetsResolvesInjectedOffsets(t *testing.T) {
 		enc := NewEncoder(p, tc.shift)
 		ch := air.NewChannel(p, rng)
 		ch.NoisePower = 0.01 // near-clean for estimator accuracy checks
-		sig := ch.Receive((PreambleSymbols+len(bits)+2)*n, []air.Transmission{{
-			Waveform: enc.FrameWaveform(payload),
-			Delayed: func(frac float64) []complex128 {
-				return enc.FrameWaveformDelayed(payload, frac)
-			},
-			SNRdB:        15,
-			DelaySec:     tc.dtBins / p.BW,
-			FreqOffsetHz: p.BinsToFreqOffset(tc.dfBins),
-		}})
+		sig := ch.Receive((PreambleSymbols+len(bits)+2)*n, []air.Transmission{
+			deviceTx(enc, payload, 15, tc.dtBins/p.BW, p.BinsToFreqOffset(tc.dfBins)),
+		})
 		up, down := dec.PreamblePeaks(sig, 0)
 		dtSamples, dfBins := MidpointOffsets(up, down, tc.shift, n)
 		// At critical sampling, timing offset in samples == bins.
@@ -126,11 +112,7 @@ func TestAlignQualityPeaksAtTrueStart(t *testing.T) {
 	enc := NewEncoder(p, 16)
 	ch := air.NewChannel(p, rng)
 	sig := ch.Receive(trueStart+(PreambleSymbols+len(FrameBits(payload))+2)*n,
-		[]air.Transmission{{
-			Waveform: enc.FrameWaveform(payload),
-			SNRdB:    10,
-			DelaySec: float64(trueStart) / p.SampleRate(),
-		}})
+		[]air.Transmission{deviceTx(enc, payload, 10, float64(trueStart)/p.SampleRate(), 0)})
 	qTrue := dec.alignQuality(sig, trueStart)
 	qOff := dec.alignQuality(sig, trueStart+n/2)
 	if qTrue <= qOff {

@@ -41,16 +41,11 @@ func TestSynthFramesDecodeBitExact(t *testing.T) {
 	shifts := make([]int, len(payloads))
 	for i := range payloads {
 		shifts[i] = book.ShiftOfSlot(slots[i])
-		enc := NewEncoder(p, shifts[i])
-		bits := FrameBits(payloads[i])
-		txs = append(txs, air.Transmission{
-			Mixed: func(dst []complex128, frac, freqHz float64, gain complex128) []complex128 {
-				return enc.FrameBitsWaveformMixedInto(dst, bits, frac, freqHz, gain)
-			},
-			SNRdB:        snrs[i],
-			DelaySec:     delays[i] / p.BW,
-			FreqOffsetHz: offsets[i],
-		})
+		tx := NewEncoder(p, shifts[i]).Tx(FrameBits(payloads[i]))
+		tx.SNRdB = snrs[i]
+		tx.DelaySec = delays[i] / p.BW
+		tx.FreqOffsetHz = offsets[i]
+		txs = append(txs, tx)
 	}
 	ch := air.NewChannel(p, rng)
 	sig := ch.Receive(ch.FrameLength(PreambleSymbols+bitsLen, 2), txs)
@@ -96,16 +91,11 @@ func FuzzDecoderRoundTrip(f *testing.F) {
 		snr := 8 + float64(knobs%8)                        // [8, 15] dB: above operating point
 		frac := float64((knobs>>3)%100) / 100 * 0.45       // [0, 0.45) bins of timing error
 		dfBins := (float64((knobs>>10)%32)/32 - 0.5) * 0.4 // ±0.2 bins of CFO
-		enc := NewEncoder(p, shift)
 		bits := FrameBits(payload)
-		tx := air.Transmission{
-			Mixed: func(dst []complex128, fr, freqHz float64, gain complex128) []complex128 {
-				return enc.FrameBitsWaveformMixedInto(dst, bits, fr, freqHz, gain)
-			},
-			SNRdB:        snr,
-			DelaySec:     frac / p.BW,
-			FreqOffsetHz: p.BinsToFreqOffset(dfBins),
-		}
+		tx := NewEncoder(p, shift).Tx(bits)
+		tx.SNRdB = snr
+		tx.DelaySec = frac / p.BW
+		tx.FreqOffsetHz = p.BinsToFreqOffset(dfBins)
 		ch := air.NewChannel(p, dsp.NewRand(seed))
 		sig := ch.Receive(ch.FrameLength(PreambleSymbols+len(bits), 2), []air.Transmission{tx})
 		dec := NewDecoder(book, DefaultDecoderConfig(2))

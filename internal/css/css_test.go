@@ -63,7 +63,9 @@ func TestModemRoundTripNoisy(t *testing.T) {
 	}
 	wave := m.ModulateSymbols(nil, symbols)
 	ch := air.NewChannel(tp, rng)
-	sig := ch.Receive(len(wave), []air.Transmission{{Waveform: wave, SNRdB: 0, FixedPhase: true}})
+	tx := air.WaveformTx(wave, tp.SampleRate())
+	tx.FixedPhase = true
+	sig := ch.Receive(len(wave), []air.Transmission{tx})
 	got, err := m.DemodulateSymbols(sig[:len(wave)])
 	if err != nil {
 		t.Fatal(err)

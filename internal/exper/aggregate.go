@@ -42,15 +42,10 @@ func runAggregate(cfg Config) (*Result, error) {
 	for i := range shifts {
 		shifts[i] = bookAgg.ShiftOfSlot(i * (bookAgg.Slots() / len(shifts)))
 		payloads[i] = rng.Bytes(payloadBytes)
-		enc := core.NewEncoder(pAgg, shifts[i])
-		bits := core.FrameBits(payloads[i])
-		txs = append(txs, air.Transmission{
-			Mixed: func(dst []complex128, f, freqHz float64, gain complex128) []complex128 {
-				return enc.FrameBitsWaveformMixedInto(dst, bits, f, freqHz, gain)
-			},
-			SNRdB:    rng.Uniform(6, 12),
-			DelaySec: rng.Uniform(0, 0.3) / pAgg.BW,
-		})
+		tx := core.NewEncoder(pAgg, shifts[i]).Tx(core.FrameBits(payloads[i]))
+		tx.SNRdB = rng.Uniform(6, 12)
+		tx.DelaySec = rng.Uniform(0, 0.3) / pAgg.BW
+		txs = append(txs, tx)
 	}
 	ch := air.NewChannel(pAgg, rng)
 	sig := ch.Receive(ch.FrameLength(core.PreambleSymbols+bits, 2), txs)
@@ -80,15 +75,10 @@ func runAggregate(cfg Config) (*Result, error) {
 		for i := range bandShifts {
 			bandShifts[i] = bookOne.ShiftOfSlot(i * (bookOne.Slots() / nPerBand))
 			bandPayloads[i] = rng.Bytes(payloadBytes)
-			enc := core.NewEncoder(pOne, bandShifts[i])
-			bits := core.FrameBits(bandPayloads[i])
-			bandTxs = append(bandTxs, air.Transmission{
-				Mixed: func(dst []complex128, f, freqHz float64, gain complex128) []complex128 {
-					return enc.FrameBitsWaveformMixedInto(dst, bits, f, freqHz, gain)
-				},
-				SNRdB:    rng.Uniform(6, 12),
-				DelaySec: rng.Uniform(0, 0.3) / pOne.BW,
-			})
+			tx := core.NewEncoder(pOne, bandShifts[i]).Tx(core.FrameBits(bandPayloads[i]))
+			tx.SNRdB = rng.Uniform(6, 12)
+			tx.DelaySec = rng.Uniform(0, 0.3) / pOne.BW
+			bandTxs = append(bandTxs, tx)
 		}
 		chOne := air.NewChannel(pOne, rng)
 		sigOne := chOne.Receive(chOne.FrameLength(core.PreambleSymbols+bits, 2), bandTxs)

@@ -126,21 +126,13 @@ func nearFarBER(snrDB, diffDB float64, shift2, symbols int, rng *dsp.Rand) float
 	batch := 96
 	var errs, total int
 	// Encoders, channel, transmission slots and the receive buffer are
-	// hoisted out of the trial loop (the Mixed closures read the bit
-	// sections through variables rewritten per trial): same rng draw
-	// order, same bits, no per-trial frame-sized allocations.
-	enc1 := core.NewEncoder(p, shift1)
-	enc2 := core.NewEncoder(p, shift2)
+	// hoisted out of the trial loop (the closures read the bit sections
+	// through variables rewritten per trial): same rng draw order, same
+	// bits, no per-trial frame-sized allocations.
 	var bits1, bits2 []byte
-	txs := []air.Transmission{{SNRdB: snrDB}}
-	txs[0].Mixed = func(dst []complex128, frac, freqHz float64, gain complex128) []complex128 {
-		return enc1.FrameBitsWaveformMixedInto(dst, bits1, frac, freqHz, gain)
-	}
+	txs := []air.Transmission{trialTx(core.NewEncoder(p, shift1), &bits1, snrDB)}
 	if diffDB > 0 {
-		txs = append(txs, air.Transmission{SNRdB: snrDB + diffDB})
-		txs[1].Mixed = func(dst []complex128, frac, freqHz float64, gain complex128) []complex128 {
-			return enc2.FrameBitsWaveformMixedInto(dst, bits2, frac, freqHz, gain)
-		}
+		txs = append(txs, trialTx(core.NewEncoder(p, shift2), &bits2, snrDB+diffDB))
 	}
 	ch := air.NewChannel(p, rng)
 	sig := make([]complex128, ch.FrameLength(core.PreambleSymbols+batch, 2))
@@ -169,6 +161,21 @@ func nearFarBER(snrDB, diffDB float64, shift2, symbols int, rng *dsp.Rand) float
 		total += batch
 	}
 	return float64(errs) / float64(total)
+}
+
+// trialTx is enc's template-pair transmission at snrDB whose closures
+// read the frame through *bits on every receive, so a trial loop can
+// swap bit sections without rebuilding it.
+func trialTx(enc *core.Encoder, bits *[]byte, snrDB float64) air.Transmission {
+	return air.Transmission{
+		MixedTmpl: func(tmpl []complex128, frac, freqHz float64, gain complex128) []complex128 {
+			return enc.FrameBitsWaveformMixedTemplates(tmpl, *bits, frac, freqHz, gain)
+		},
+		MixedAddRange: func(out []complex128, lo, hi, at int, tmpl []complex128, frac, freqHz float64) {
+			enc.FrameBitsWaveformMixedAddRange(out, lo, hi, at, tmpl, *bits, frac, freqHz)
+		},
+		SNRdB: snrDB,
+	}
 }
 
 func runFig12(cfg Config) (*Result, error) {
@@ -272,15 +279,10 @@ func weakDeviceBER(strongSNR, diffDB float64, sep, symbols int, rng *dsp.Rand) f
 	var errs, total int
 	// Hoisted like nearFarBER: per-trial state is the bit sections and
 	// frequency offsets, not encoders, channels or buffers.
-	encS := core.NewEncoder(p, 0)
-	encW := core.NewEncoder(p, sep)
 	var bitsW, bitsS []byte
-	txs := []air.Transmission{{SNRdB: strongSNR}, {SNRdB: strongSNR - diffDB}}
-	txs[0].Mixed = func(dst []complex128, frac, freqHz float64, gain complex128) []complex128 {
-		return encS.FrameBitsWaveformMixedInto(dst, bitsS, frac, freqHz, gain)
-	}
-	txs[1].Mixed = func(dst []complex128, frac, freqHz float64, gain complex128) []complex128 {
-		return encW.FrameBitsWaveformMixedInto(dst, bitsW, frac, freqHz, gain)
+	txs := []air.Transmission{
+		trialTx(core.NewEncoder(p, 0), &bitsS, strongSNR),
+		trialTx(core.NewEncoder(p, sep), &bitsW, strongSNR-diffDB),
 	}
 	ch := air.NewChannel(p, rng)
 	sig := make([]complex128, ch.FrameLength(core.PreambleSymbols+batch, 2))

@@ -65,24 +65,6 @@ func Superpose(dst, src []complex128, offset int) int {
 	return hi - lo
 }
 
-// SuperposeBatch accumulates every source into dst in one pass:
-// srcs[k] is added starting at sample offsets[k], clipped to dst's
-// bounds, in slice order — element for element the same additions in
-// the same order as calling Superpose once per source, so the composite
-// signal is bit-identical to the serial loop it replaces. Empty or
-// fully clipped sources are skipped. It returns the total number of
-// samples written.
-func SuperposeBatch(dst []complex128, srcs [][]complex128, offsets []int) int {
-	if len(srcs) != len(offsets) {
-		panic("radio: SuperposeBatch sources and offsets differ in length")
-	}
-	total := 0
-	for k, src := range srcs {
-		total += Superpose(dst, src, offsets[k])
-	}
-	return total
-}
-
 // clipRange returns the half-open range [lo, hi) of src indices that
 // land inside a dst of length dstLen when src is placed at offset.
 func clipRange(dstLen, srcLen, offset int) (lo, hi int) {

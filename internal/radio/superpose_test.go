@@ -78,51 +78,6 @@ func TestSuperposeClipping(t *testing.T) {
 	}
 }
 
-// TestSuperposeBatchBitExact checks that the one-pass batch accumulation
-// is bit-identical to serial Superpose calls in the same order, across a
-// mix of offsets including heavy clipping and empty sources.
-func TestSuperposeBatchBitExact(t *testing.T) {
-	rng := dsp.NewRand(23)
-	const dstLen = 512
-	srcs := make([][]complex128, 0, 24)
-	offsets := make([]int, 0, 24)
-	for k := 0; k < 24; k++ {
-		n := int(rng.Uniform(0, 300))
-		if k%7 == 3 {
-			n = 0 // zero-length sources must be skipped cleanly
-		}
-		srcs = append(srcs, randComplex(rng, n))
-		offsets = append(offsets, int(rng.Uniform(-150, float64(dstLen+50))))
-	}
-
-	got := randComplex(rng, dstLen)
-	want := append([]complex128(nil), got...)
-
-	gotN := SuperposeBatch(got, srcs, offsets)
-	wantN := 0
-	for k := range srcs {
-		wantN += superposeNaive(want, srcs[k], offsets[k])
-	}
-	if gotN != wantN {
-		t.Fatalf("batch wrote %d samples, serial wrote %d", gotN, wantN)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sample %d: batch %v != serial %v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestSuperposeBatchMismatchedLengths pins the length-contract panic.
-func TestSuperposeBatchMismatchedLengths(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on srcs/offsets length mismatch")
-		}
-	}()
-	SuperposeBatch(make([]complex128, 8), make([][]complex128, 2), []int{0})
-}
-
 func BenchmarkSuperpose(b *testing.B) {
 	for _, n := range []int{4096, 28672} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

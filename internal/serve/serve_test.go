@@ -153,25 +153,31 @@ func TestRunPause(t *testing.T) {
 	if _, err := c.Pause(ctx, id); err != nil {
 		t.Fatalf("pause: %v", err)
 	}
-	// After the in-flight turn drains, the count must stop moving.
-	var last int
-	for i := 0; i < 50; i++ {
-		st, err := c.Stats(ctx, id)
-		if err != nil {
-			t.Fatal(err)
-		}
+	// After the in-flight turn drains, the count must stop moving. A
+	// turn records its rounds before it releases the tenant, so the
+	// count read once the tenant is idle is final; reading it before
+	// the state would race a round finishing in between.
+	idle := false
+	for i := 0; i < 50 && !idle; i++ {
 		info, err := c.Detail(ctx, id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.State == "idle" {
-			last = st.Stats.Rounds
-			break
+		idle = info.State == "idle"
+		if !idle {
+			time.Sleep(5 * time.Millisecond)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	time.Sleep(20 * time.Millisecond)
+	if !idle {
+		t.Fatal("tenant still running after pause")
+	}
 	st, err := c.Stats(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := st.Stats.Rounds
+	time.Sleep(20 * time.Millisecond)
+	st, err = c.Stats(ctx, id)
 	if err != nil {
 		t.Fatal(err)
 	}

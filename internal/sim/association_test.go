@@ -157,15 +157,9 @@ type frameTx struct {
 func receiveFrames(p chirp.Params, rng *dsp.Rand, frames []frameTx, payloadBits int) []complex128 {
 	var txs []air.Transmission
 	for _, f := range frames {
-		enc := core.NewEncoder(p, f.shift)
-		pl := f.payload
-		txs = append(txs, air.Transmission{
-			Delayed: func(frac float64) []complex128 {
-				return enc.FrameWaveformDelayed(pl, frac)
-			},
-			SNRdB:    f.snr,
-			DelaySec: rng.Uniform(0, 1e-6),
-		})
+		tx := core.NewEncoder(p, f.shift).Tx(core.FrameBits(f.payload))
+		tx.SNRdB, tx.DelaySec = f.snr, rng.Uniform(0, 1e-6)
+		txs = append(txs, tx)
 	}
 	ch := air.NewChannel(p, rng)
 	return ch.Receive(ch.FrameLength(core.PreambleSymbols+payloadBits, 2), txs)

@@ -121,9 +121,11 @@ type Network struct {
 // setup needs — transmissions, payloads, frame bit sections, the
 // received stream — is carved out once at association time and refilled
 // in place each round, extending the decoder's zero-allocation property
-// (PR 1) up through the transmit path. The DelayedInto closures are
-// built once per device; each round only rewrites the scalar channel
-// fields (SNR, delay, frequency offset, fade) and the arena contents.
+// up through the transmit path. The template-pair closures
+// (MixedTmpl + MixedAddRange) are built once per device and read the
+// device's bit section on every receive; each round only rewrites the
+// scalar channel fields (SNR, delay, frequency offset, fade) and the
+// arena contents.
 type roundCtx struct {
 	txs      []air.Transmission
 	shifts   []int

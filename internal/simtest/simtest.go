@@ -69,53 +69,32 @@ func txLink(p chirp.Params, i int) (snrDB, delaySec, freqHz float64) {
 }
 
 // TiledTxs builds a fleet of template-path (MixedTmpl + MixedAddRange)
-// transmissions over the given bit sections; with mixed, the
-// equivalent legacy Mixed-path fleet instead.
-func TiledTxs(p chirp.Params, nDev int, bits [][]byte, mixed bool) []air.Transmission {
+// transmissions over the given bit sections.
+func TiledTxs(p chirp.Params, nDev int, bits [][]byte) []air.Transmission {
 	txs := make([]air.Transmission, nDev)
 	for i := 0; i < nDev; i++ {
-		enc := core.NewEncoder(p, (i*7+3)%p.N())
-		b := bits[i]
-		tx := &txs[i]
-		tx.SNRdB, tx.DelaySec, tx.FreqOffsetHz = txLink(p, i)
-		if mixed {
-			tx.Mixed = func(dst []complex128, frac, freqHz float64, gain complex128) []complex128 {
-				return enc.FrameBitsWaveformMixedInto(dst, b, frac, freqHz, gain)
-			}
-		} else {
-			tx.MixedTmpl = func(tmpl []complex128, frac, freqHz float64, gain complex128) []complex128 {
-				return enc.FrameBitsWaveformMixedTemplates(tmpl, b, frac, freqHz, gain)
-			}
-			tx.MixedAddRange = func(out []complex128, lo, hi, at int, tmpl []complex128, frac, freqHz float64) {
-				enc.FrameBitsWaveformMixedAddRange(out, lo, hi, at, tmpl, b, frac, freqHz)
-			}
-		}
+		txs[i] = core.NewEncoder(p, (i*7+3)%p.N()).Tx(bits[i])
+		txs[i].SNRdB, txs[i].DelaySec, txs[i].FreqOffsetHz = txLink(p, i)
 	}
 	return txs
 }
 
 // MultiTxs builds a fleet of multi-AP transmissions over the given bit
 // sections, with per-AP SNRs spread deterministically per (device, AP).
-// The closures are the same encoder closures TiledTxs installs, so a
+// The closures are the same Encoder.Tx pair TiledTxs installs, so a
 // multi fleet and a tiled fleet over the same bits describe the same
 // devices.
 func MultiTxs(p chirp.Params, nDev, nAPs int, bits [][]byte) []air.MultiTransmission {
 	txs := make([]air.MultiTransmission, nDev)
 	for i := 0; i < nDev; i++ {
-		enc := core.NewEncoder(p, (i*7+3)%p.N())
-		b := bits[i]
 		tx := &txs[i]
+		pair := core.NewEncoder(p, (i*7+3)%p.N()).Tx(bits[i])
+		tx.MixedTmpl, tx.MixedAddRange = pair.MixedTmpl, pair.MixedAddRange
 		snr, delay, freq := txLink(p, i)
 		tx.DelaySec, tx.FreqOffsetHz = delay, freq
 		tx.SNRdB = make([]float64, nAPs)
 		for a := range tx.SNRdB {
 			tx.SNRdB[a] = snr + float64((i+3*a)%7) - 3
-		}
-		tx.MixedTmpl = func(tmpl []complex128, frac, freqHz float64, gain complex128) []complex128 {
-			return enc.FrameBitsWaveformMixedTemplates(tmpl, b, frac, freqHz, gain)
-		}
-		tx.MixedAddRange = func(out []complex128, lo, hi, at int, tmpl []complex128, frac, freqHz float64) {
-			enc.FrameBitsWaveformMixedAddRange(out, lo, hi, at, tmpl, b, frac, freqHz)
 		}
 	}
 	return txs

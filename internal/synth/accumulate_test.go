@@ -6,11 +6,20 @@ import (
 	"netscatter/internal/chirp"
 )
 
-// TestFrameMixedAccumulateBitExact pins the fused accumulate contract:
-// adding a frame directly into a receive buffer must be bit-identical
-// to materializing it with FrameMixedInto and superposing it sample by
-// sample — across fractional delays, frequency offsets, gains,
-// clipping at both ends, and all-silence frames.
+// accumulateWhole adds the placed frame into all of out: its templates
+// (reusing tmpl's storage, returned) plus one whole-buffer range add.
+func accumulateWhole(s *Synthesizer, out []complex128, at int, tmpl []complex128, shift int, bits []byte, frac, omega float64, gain complex128) []complex128 {
+	tmpl = s.FrameMixedTemplates(tmpl, shift, 6, 2, bits, frac, omega, gain)
+	s.FrameMixedAccumulateRange(out, 0, len(out), at, tmpl, 6, 2, bits, frac, omega)
+	return tmpl
+}
+
+// TestFrameMixedAccumulateBitExact pins the accumulate contract:
+// adding a frame directly into a receive buffer from its templates must
+// be bit-identical to materializing it with FrameMixedInto and
+// superposing it sample by sample — across fractional delays,
+// frequency offsets, gains, clipping at both ends, and all-silence
+// frames.
 func TestFrameMixedAccumulateBitExact(t *testing.T) {
 	p := chirp.Params{SF: 7, BW: 125e3, Oversample: 1}
 	s := For(p)
@@ -56,7 +65,7 @@ func TestFrameMixedAccumulateBitExact(t *testing.T) {
 				want[j] += v
 			}
 
-			tmpl := s.FrameMixedAccumulate(got, tc.at, nil, 9, 6, 2, tc.bits, tc.frac, tc.omega, tc.gain)
+			tmpl := accumulateWhole(s, got, tc.at, nil, 9, tc.bits, tc.frac, tc.omega, tc.gain)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("sample %d: accumulate %v != materialized %v", i, got[i], want[i])
@@ -64,7 +73,7 @@ func TestFrameMixedAccumulateBitExact(t *testing.T) {
 			}
 
 			// Second frame through the reused template scratch.
-			s.FrameMixedAccumulate(got, tc.at+n, tmpl, 9, 6, 2, tc.bits, tc.frac, tc.omega, tc.gain)
+			accumulateWhole(s, got, tc.at+n, tmpl, 9, tc.bits, tc.frac, tc.omega, tc.gain)
 			for i, v := range frame {
 				j := tc.at + n + i
 				if j < 0 || j >= len(want) {
@@ -97,7 +106,7 @@ func TestFrameMixedAccumulateRangeTilesBitExact(t *testing.T) {
 	outLen := 14*n + 5
 
 	want := make([]complex128, outLen)
-	tmpl := s.FrameMixedAccumulate(want, 2*n+3, nil, 9, 6, 2, bits, frac, omega, gain)
+	tmpl := accumulateWhole(s, want, 2*n+3, nil, 9, bits, frac, omega, gain)
 
 	partitions := [][]int{
 		{0, outLen},                             // trivial
@@ -165,7 +174,7 @@ func TestFrameMixedAccumulateAggregate(t *testing.T) {
 	for i, v := range frame {
 		want[5+i] += v
 	}
-	s.FrameMixedAccumulate(out, 5, nil, 30, 6, 2, bits, 0.21, 0.0007, complex(1.1, 0.4))
+	accumulateWhole(s, out, 5, nil, 30, bits, 0.21, 0.0007, complex(1.1, 0.4))
 	for i := range want {
 		if out[i] != want[i] {
 			t.Fatalf("sample %d: %v != %v", i, out[i], want[i])
@@ -185,6 +194,6 @@ func BenchmarkFrameMixedAccumulate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tmpl = s.FrameMixedAccumulate(out, 17, tmpl, 42, 6, 2, bits, 0.37, 0.0003, complex(1.4, -0.3))
+		tmpl = accumulateWhole(s, out, 17, tmpl, 42, bits, 0.37, 0.0003, complex(1.4, -0.3))
 	}
 }

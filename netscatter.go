@@ -284,17 +284,12 @@ func (n *Network) Run(payloads map[int][]byte) (*Round, error) {
 				continue // sit the round out rather than transmit badly
 			}
 		}
-		enc := dev.enc
-		bits := core.FrameBits(pl)
-		txs = append(txs, air.Transmission{
-			Mixed: func(dst []complex128, frac, freqHz float64, gain complex128) []complex128 {
-				return enc.FrameBitsWaveformMixedInto(dst, bits, frac, freqHz, gain)
-			},
-			SNRdB:        dev.SNRdB + dev.GainDB,
-			DelaySec:     hw.DefaultDelayModel.Draw(n.rng) + hw.PropagationDelaySec(dev.Position.Distance(n.dep.Plan.AP)),
-			FreqOffsetHz: dev.osc.PacketOffsetHz(n.rng),
-			FadeGain:     fade,
-		})
+		tx := dev.enc.Tx(core.FrameBits(pl))
+		tx.SNRdB = dev.SNRdB + dev.GainDB
+		tx.DelaySec = hw.DefaultDelayModel.Draw(n.rng) + hw.PropagationDelaySec(dev.Position.Distance(n.dep.Plan.AP))
+		tx.FreqOffsetHz = dev.osc.PacketOffsetHz(n.rng)
+		tx.FadeGain = fade
+		txs = append(txs, tx)
 		shifts = append(shifts, dev.Shift)
 		idxs = append(idxs, idx)
 	}

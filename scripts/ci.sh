@@ -42,6 +42,13 @@ echo "== go test =="
 # randomizes test order to surface inter-test state leaks.
 go test -count=1 -shuffle=on ./...
 
+echo "== go test: several widths =="
+# The channel's oracle bit-identity and the zero-allocation gates of
+# the synthesis, accumulate and round paths must hold at any worker
+# count, not only at the host's: rerun those packages at 1, 2 and 4
+# procs.
+go test -count=1 -cpu 1,2,4 ./internal/air ./internal/synth ./internal/radio ./internal/core ./internal/sim
+
 echo "== fuzz seed corpus =="
 # Runs every Fuzz* target over its committed seeds (no exploration):
 # synthesizer phase continuity, interleaved-chain stride continuity
@@ -54,7 +61,7 @@ echo "== race: concurrent paths =="
 # The rewired sim round path, the batched parallel decoder (including
 # the batch-vs-oracle bit-exactness sweep), the tiled channel path
 # (template fan-out + tile workers, with the GOMAXPROCS ∈ {1,2,4}
-# bit-exactness sweeps), the multi-AP fan-out (shared-template per-AP
+# sweeps against the materializing channel oracle), the multi-AP fan-out (shared-template per-AP
 # scaling, (AP, tile) workers, per-AP decodes — with its own
 # GOMAXPROCS and single-AP-oracle sweeps), the adversarial trajectory
 # runner (oracle bit-identity, churn/dropout recovery accounting, the
