@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 
@@ -168,6 +169,15 @@ type Decoder struct {
 	powers  []float64 // candidate-major [cand][sym] payload peak powers
 	bits    []byte    // candidate-major payload bit storage
 	payload []byte    // candidate-major CRC-stripped payload bytes
+
+	// ghost-rejection arenas (chainByBits): per-candidate bits hash,
+	// chain head and next link, plus the open-addressing table's chain
+	// heads and tails.
+	ghostHash []uint64
+	ghostHead []int32
+	ghostNext []int32
+	ghostSlot []int32
+	ghostTail []int32
 }
 
 // NewDecoder builds a decoder over a code book.
@@ -532,17 +542,26 @@ func (d *Decoder) reduceNoise() float64 {
 
 // rejectGhosts demotes side-lobe replicas: detected candidates whose
 // demodulated bits exactly match a far stronger detected candidate's.
+//
+// Candidates are processed in index order, and a demotion is visible to
+// every later check: a candidate already demoted as a ghost no longer
+// counts as the stronger match for a later one. Only candidates with identical bits
+// can match, so the detected candidates are first chained by a hash of
+// their bits (in index order, in reusable arenas) and each one is
+// checked against its own chain only: O(D) for distinct payloads
+// instead of the all-pairs O(D²), with the identical outcome.
 func (d *Decoder) rejectGhosts(devs []DeviceDecode) {
 	if d.cfg.GhostFactor <= 0 {
 		return
 	}
+	d.chainByBits(devs)
 	for i := range devs {
 		weak := &devs[i]
 		if !weak.Detected || len(weak.Bits) == 0 {
 			continue
 		}
-		for j := range devs {
-			if i == j {
+		for j := d.ghostHead[i]; j >= 0; j = d.ghostNext[j] {
+			if int(j) == i {
 				continue
 			}
 			strong := &devs[j]
@@ -552,14 +571,7 @@ func (d *Decoder) rejectGhosts(devs []DeviceDecode) {
 			if strong.MeanPeakPower < d.cfg.GhostFactor*weak.MeanPeakPower {
 				continue
 			}
-			same := true
-			for k := range weak.Bits {
-				if weak.Bits[k] != strong.Bits[k] {
-					same = false
-					break
-				}
-			}
-			if same {
+			if bytes.Equal(weak.Bits, strong.Bits) {
 				weak.Detected = false
 				weak.CRCOK = false
 				weak.Payload = nil
@@ -567,6 +579,65 @@ func (d *Decoder) rejectGhosts(devs []DeviceDecode) {
 			}
 		}
 	}
+}
+
+// chainByBits links every detected candidate with a non-empty bit
+// section into the chain of candidates sharing its bits hash, in index
+// order: ghostHead[i] is the first member of i's chain (-1 when i is
+// not chained) and ghostNext[j] the member after j. The chains are
+// built through an open-addressing table keyed by the full 64-bit hash,
+// so members of one chain share that hash and, short of a collision,
+// their bits; rejectGhosts compares bits exactly either way.
+func (d *Decoder) chainByBits(devs []DeviceDecode) {
+	n := len(devs)
+	size := 1
+	for size < 2*n {
+		size <<= 1
+	}
+	if cap(d.ghostNext) < n {
+		d.ghostHash = make([]uint64, n)
+		d.ghostHead = make([]int32, n)
+		d.ghostNext = make([]int32, n)
+	}
+	if cap(d.ghostSlot) < size {
+		d.ghostSlot = make([]int32, size)
+		d.ghostTail = make([]int32, size)
+	}
+	hash, head, next := d.ghostHash[:n], d.ghostHead[:n], d.ghostNext[:n]
+	slot, tail := d.ghostSlot[:size], d.ghostTail[:size]
+	for s := range slot {
+		slot[s] = -1
+	}
+	mask := uint64(size - 1)
+	for i := range devs {
+		head[i], next[i] = -1, -1
+		if !devs[i].Detected || len(devs[i].Bits) == 0 {
+			continue
+		}
+		h := hashBits(devs[i].Bits)
+		hash[i] = h
+		s := h & mask
+		for slot[s] >= 0 && hash[slot[s]] != h {
+			s = (s + 1) & mask
+		}
+		if slot[s] < 0 {
+			slot[s] = int32(i)
+		} else {
+			next[tail[s]] = int32(i)
+		}
+		tail[s] = int32(i)
+		head[i] = slot[s]
+	}
+}
+
+// hashBits is 64-bit FNV-1a over a demodulated bit section.
+func hashBits(bits []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, b := range bits {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	return h
 }
 
 // noiseQuantile estimates the mean noise power per padded FFT bin from

@@ -32,6 +32,10 @@ const (
 // Like Decoder, a ParallelDecoder is not safe for concurrent use (it is
 // itself the concurrency), and its results alias decoder-owned storage
 // valid until the next DecodeFrame call.
+//
+// Decoders that take turns, such as the per-AP decoders of a multi-AP
+// round, share their transform scratch through Sibling; a decoder and
+// its siblings must never decode concurrently.
 type ParallelDecoder struct {
 	dec     *Decoder
 	workers []*decodeWorker
@@ -91,6 +95,29 @@ func NewParallelDecoder(book *CodeBook, cfg DecoderConfig, workers int) *Paralle
 	return pd
 }
 
+// Sibling returns a decoder over the same code book and configuration
+// that owns its result arenas — candidate statistics, devices, bits,
+// powers and the FrameDecode — but shares this decoder's worker set
+// (and the demodulators workers materialize later), its serial
+// demodulator and its preamble spectra arena. A sibling's FrameDecode
+// therefore survives the other siblings' decodes, while the per-worker
+// batch scratch is paid once for the whole family.
+//
+// A decoder and its siblings must never decode concurrently: they share
+// per-worker scratch, and the pool's one-goroutine-per-worker-id
+// guarantee holds only within a single call.
+func (pd *ParallelDecoder) Sibling() *ParallelDecoder {
+	d := pd.dec
+	sib := &ParallelDecoder{
+		dec:      &Decoder{book: d.book, dem: d.dem, cfg: d.cfg},
+		workers:  pd.workers,
+		preArena: pd.preArena,
+	}
+	sib.preWorker = sib.preBatch
+	sib.payWorker = sib.payBatch
+	return sib
+}
+
 // batchCount returns how many batch work items cover n symbols.
 func batchCount(n, tile int) int {
 	return (n + tile - 1) / tile
@@ -135,8 +162,10 @@ func (pd *ParallelDecoder) payBatch(w, batch int) {
 
 // worker returns worker w's state, materializing it on first use. Safe
 // without locks: the pool runs each worker id on exactly one goroutine
-// at a time, and successive ForEachWorker phases are ordered by its
-// WaitGroup, so slot w is only ever touched by w's current goroutine.
+// at a time, and successive ForEachWorker calls — this decoder's phases
+// and its siblings' decodes alike — are ordered by the pool's
+// completion wait, so slot w is only ever touched by w's current
+// goroutine.
 func (pd *ParallelDecoder) worker(w int) *decodeWorker {
 	wk := pd.workers[w]
 	if wk == nil {

@@ -191,3 +191,84 @@ func TestDecodeFrameSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state DecodeFrame allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// TestParallelDecoderSiblings pins the Sibling contract: k siblings
+// decoding k different signals in turn equal k independent decoders
+// bit for bit, each sibling's FrameDecode survives the other siblings'
+// decodes (result arenas are per sibling), and the family shares one
+// worker set and one preamble arena.
+func TestParallelDecoderSiblings(t *testing.T) {
+	p := chirp.Params{SF: 7, BW: 125e3, Oversample: 1}
+	cfg := DefaultDecoderConfig(2)
+	type frame struct {
+		book    *CodeBook
+		sig     []complex128
+		shifts  []int
+		bitsLen int
+	}
+	var frames []frame
+	for k, nDev := range []int{24, 9, 24, 16} {
+		book, sig, shifts, bitsLen := buildConcurrentFrame(t, p, 2, nDev, int64(k+1)*313)
+		frames = append(frames, frame{book, sig, shifts, bitsLen})
+	}
+	book := frames[0].book
+	for _, workers := range []int{1, 2, 4} {
+		family := []*ParallelDecoder{NewParallelDecoder(book, cfg, workers)}
+		for len(family) < len(frames) {
+			family = append(family, family[0].Sibling())
+		}
+		for _, sib := range family[1:] {
+			if &sib.workers[0] != &family[0].workers[0] || &sib.preArena[0] != &family[0].preArena[0] {
+				t.Fatalf("workers=%d: sibling does not share the worker set and preamble arena", workers)
+			}
+			if sib.dec == family[0].dec || sib.dec.dem != family[0].dec.dem {
+				t.Fatalf("workers=%d: sibling must own its Decoder but share its demodulator", workers)
+			}
+		}
+		for round := 0; round < 2; round++ {
+			results := make([]*FrameDecode, len(frames))
+			for a, f := range frames {
+				res, err := family[a].DecodeFrame(f.sig, 0, f.shifts, f.bitsLen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				results[a] = res
+			}
+			for a, f := range frames {
+				ref := NewParallelDecoder(book, cfg, workers)
+				want, err := ref.DecodeFrame(f.sig, 0, f.shifts, f.bitsLen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// results[a] was returned before the later siblings
+				// decoded; it must still hold decoder a's frame.
+				if err := decodesEqual(snapshotDecode(want), snapshotDecode(results[a])); err != nil {
+					t.Fatalf("workers=%d round=%d sibling %d: %v", workers, round, a, err)
+				}
+			}
+		}
+	}
+}
+
+// TestParallelDecoderSiblingsZeroAlloc: a sibling family taking turns
+// decodes allocation-free in steady state at the current GOMAXPROCS —
+// the pool's resident helpers and the shared worker scratch add no
+// per-call heap traffic.
+func TestParallelDecoderSiblingsZeroAlloc(t *testing.T) {
+	p := chirp.Params{SF: 7, BW: 125e3, Oversample: 1}
+	book, sig, shifts, bitsLen := buildConcurrentFrame(t, p, 2, 24, 11)
+	pd := NewParallelDecoder(book, DefaultDecoderConfig(2), 0)
+	family := []*ParallelDecoder{pd, pd.Sibling(), pd.Sibling()}
+	emit := make([]float64, pd.Serial().EmitLen(bitsLen))
+	decodeAll := func() {
+		for _, dec := range family {
+			if _, err := dec.DecodeFrameEmit(sig, 0, shifts, bitsLen, emit); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	decodeAll()
+	if allocs := testing.AllocsPerRun(10, decodeAll); allocs != 0 {
+		t.Fatalf("sibling decodes allocate %v/op; want 0", allocs)
+	}
+}

@@ -361,10 +361,20 @@ func (bp *BatchPlan) stagePairSpan(re, im []float64, base, span int, si int) {
 
 // PowerSpectrumPlanar writes |re[i] + i·im[i]|² into dst using the same
 // per-element expression as PowerSpectrum, so spectra computed through
-// the planar batch path match the complex128 path bit for bit.
+// the planar batch path match the complex128 path bit for bit. The
+// AVX2 body performs the identical unfused multiply, multiply, add per
+// lane, so it is bit-identical to the scalar body.
 func PowerSpectrumPlanar(dst, re, im []float64) {
 	dst = dst[:len(re)]
 	im = im[:len(re)]
+	if simdAVX2 && len(re) >= 4 {
+		powerPlanarAVX2(dst, re, im)
+		return
+	}
+	powerPlanarScalar(dst, re, im)
+}
+
+func powerPlanarScalar(dst, re, im []float64) {
 	for i, r := range re {
 		m := im[i]
 		dst[i] = r*r + m*m

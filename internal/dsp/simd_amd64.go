@@ -65,4 +65,7 @@ func synthChains8AVX2(dst []complex128, st *[32]float64, dLr, dLi, mag float64, 
 func maxPowerAVX2(re, im []float64) float64
 
 //go:noescape
+func powerPlanarAVX2(dst, re, im []float64)
+
+//go:noescape
 func zigFillAVX2(dst []float64, wbuf []uint64, st *Stream, kTab *uint64, wTab *float64) int

@@ -890,3 +890,73 @@ loop:
 
 	VZEROUPPER
 	RET
+
+// func powerPlanarAVX2(dst, re, im []float64)
+//
+// dst[i] = re[i]² + im[i]²: two VMULPD and one VADDPD per quad, never
+// fused, in the scalar body's expression order, so every lane rounds
+// exactly as powerPlanarScalar does. Eight elements per main-loop
+// iteration (two independent quads), then at most one further quad,
+// then a scalar-double tail for the up-to-three leftovers. Caller
+// guarantees len(dst) == len(im) == len(re).
+TEXT ·powerPlanarAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ re_base+24(FP), SI
+	MOVQ im_base+48(FP), BX
+	MOVQ re_len+32(FP), DX
+	MOVQ DX, CX
+	SHRQ $3, CX        // octets
+	JZ   quad
+
+loop:
+	VMOVUPD (SI), Y0
+	VMOVUPD 32(SI), Y1
+	VMOVUPD (BX), Y2
+	VMOVUPD 32(BX), Y3
+	VMULPD  Y0, Y0, Y0
+	VMULPD  Y1, Y1, Y1
+	VMULPD  Y2, Y2, Y2
+	VMULPD  Y3, Y3, Y3
+	VADDPD  Y2, Y0, Y0
+	VADDPD  Y3, Y1, Y1
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ    $64, SI
+	ADDQ    $64, BX
+	ADDQ    $64, DI
+	DECQ    CX
+	JNZ     loop
+
+quad:
+	TESTQ $4, DX
+	JZ    tail
+	VMOVUPD (SI), Y0
+	VMOVUPD (BX), Y2
+	VMULPD  Y0, Y0, Y0
+	VMULPD  Y2, Y2, Y2
+	VADDPD  Y2, Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, BX
+	ADDQ    $32, DI
+
+tail:
+	ANDQ $3, DX
+	JZ   done
+
+tailloop:
+	VMOVSD (SI), X0
+	VMOVSD (BX), X2
+	VMULSD X0, X0, X0
+	VMULSD X2, X2, X2
+	VADDSD X2, X0, X0
+	VMOVSD X0, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, BX
+	ADDQ   $8, DI
+	DECQ   DX
+	JNZ    tailloop
+
+done:
+	VZEROUPPER
+	RET

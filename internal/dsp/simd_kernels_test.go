@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"math"
 	"testing"
 )
 
@@ -113,6 +114,51 @@ func TestMaxPowerMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestPowerSpectrumPlanarMatchesScalar pins the planar power kernel —
+// the spectra emission of every soft-combining decode — bit for bit
+// against the scalar reference. Every length 0–67 covers the octet main
+// loop, the lone-quad step and all tail residues; the special-value
+// inputs cover overflow to +Inf (huge), underflow to zero and
+// subnormals (tiny), signed zeros and infinities. The forced-scalar
+// pass pins the dispatching entry point's fallback to the same bits.
+func TestPowerSpectrumPlanarMatchesScalar(t *testing.T) {
+	specials := []float64{1e200, -1e200, 1e-200, -1e-160, 5e-324, 0, math.Copysign(0, -1),
+		math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64, 1.5e154}
+	rng := NewRand(17)
+	for n := 0; n <= 67; n++ {
+		for _, special := range []bool{false, true} {
+			re := make([]float64, n)
+			im := make([]float64, n)
+			for i := 0; i < n; i++ {
+				re[i] = rng.Normal(0, 3)
+				im[i] = rng.Normal(0, 3)
+				if special {
+					re[i] = specials[(i+n)%len(specials)]
+					im[i] = specials[(3*i+1)%len(specials)]
+				}
+			}
+			want := make([]float64, n)
+			powerPlanarScalar(want, re, im)
+			got := make([]float64, n)
+			PowerSpectrumPlanar(got, re, im)
+			forced := make([]float64, n)
+			prevAVX2 := simdAVX2
+			simdAVX2 = false
+			PowerSpectrumPlanar(forced, re, im)
+			simdAVX2 = prevAVX2
+			for i := 0; i < n; i++ {
+				w := math.Float64bits(want[i])
+				if g := math.Float64bits(got[i]); g != w {
+					t.Fatalf("n=%d special=%v: PowerSpectrumPlanar[%d] = %v, scalar = %v", n, special, i, got[i], want[i])
+				}
+				if f := math.Float64bits(forced[i]); f != w {
+					t.Fatalf("n=%d special=%v: forced-scalar PowerSpectrumPlanar[%d] = %v, scalar = %v", n, special, i, forced[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // TestSynthChains8MatchesScalar pins the interleaved-chain synthesis
 // kernel bit for bit against the scalar reference: emitted samples and
 // the continued chain state must both match, across step counts
@@ -211,6 +257,7 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		{"AddScaledFloats", func() { AddScaledFloats(dst, fl, 0.75) }},
 		{"Dechirp", func() { Dechirp(re, im, dst, src) }},
 		{"MaxPower", func() { sink += MaxPower(re, im) }},
+		{"PowerSpectrumPlanar", func() { PowerSpectrumPlanar(fl[:n], re, im) }},
 		{"SynthChains8", func() { SynthChains8(chainDst, &st, complex(1, 0), 0.5, 16) }},
 	}
 	for _, tc := range cases {

@@ -49,6 +49,10 @@ func maxPowerAVX2(re, im []float64) float64 {
 	panic("dsp: AVX2 kernel called without AVX2 support")
 }
 
+func powerPlanarAVX2(dst, re, im []float64) {
+	panic("dsp: AVX2 kernel called without AVX2 support")
+}
+
 func zigFillAVX2(dst []float64, wbuf []uint64, st *Stream, kTab *uint64, wTab *float64) int {
 	panic("dsp: AVX2 kernel called without AVX2 support")
 }

@@ -3,10 +3,11 @@ package sim
 // Multi-AP deployments: one device fleet heard by k access points.
 // Every device transmits once per round; each AP receives the
 // superposition over its own links (air.MultiChannel's shared-template
-// fan-out), decodes the full candidate set through its own
-// ParallelDecoder arenas, and a cross-AP aggregator merges the per-AP
-// decodes — best-SNR selection with CRC preference, deduplicated by
-// device — into the network-wide round outcome. See DESIGN-multiap.md.
+// fan-out), decodes the full candidate set into its own result arenas
+// (the APs take turns on one shared decode worker set), and a cross-AP
+// aggregator merges the per-AP decodes — best-SNR selection with CRC
+// preference, deduplicated by device — into the network-wide round
+// outcome. See DESIGN-multiap.md.
 
 import (
 	"fmt"
@@ -65,9 +66,10 @@ type MultiAPNetwork struct {
 	nAPs     int
 
 	// Soft (pre-detection) cross-AP combining: when enabled, each live
-	// AP's decode also emits its power spectra into a per-AP arena, the
-	// arenas are summed bin-wise in AP order, and combDec decodes the
-	// summed spectra as one more "virtual AP" in the selection pool.
+	// AP's decode also emits its power spectra into a shared scratch
+	// that is folded into a bin-wise sum in AP order, and combDec
+	// decodes the summed spectra as one more "virtual AP" in the
+	// selection pool.
 	soft    bool
 	combDec *core.Decoder
 
@@ -104,17 +106,17 @@ type multiRoundCtx struct {
 	perAP []RoundStats
 
 	// Soft-combining arenas (carved by SetSoftCombining): one emitted
-	// spectra arena per AP, the bin-wise sum, the per-AP results plus
-	// the combined decode as a virtual AP, and its selection scratch.
+	// spectra scratch every AP decodes into in turn, the bin-wise sum
+	// it is folded into after each AP, the per-AP results plus the
+	// combined decode as a virtual AP, and its selection scratch.
 	// softRes keeps the round's combined decode for inspection (tests,
 	// degeneracy oracles); like all decode results it aliases decoder
 	// arenas, valid until the next round.
-	emitArena []float64
-	emits     [][]float64
-	comb      []float64
-	resPlus   []*core.FrameDecode
-	softSel   []int
-	softRes   *core.FrameDecode
+	emit    []float64
+	comb    []float64
+	resPlus []*core.FrameDecode
+	softSel []int
+	softRes *core.FrameDecode
 
 	// Adversity support: saved copies of the per-device fan-out
 	// closures (restored after a round that silenced devices) and the
@@ -165,8 +167,12 @@ func NewMultiAPNetwork(cfg Config, dep *deploy.Deployment, nAPs, maxDevices int,
 		encs:     make([]*core.Encoder, maxDevices),
 		bestDist: make([]float64, maxDevices),
 	}
-	for a := range n.decoders {
-		n.decoders[a] = core.NewParallelDecoder(book, dcfg, 0)
+	// The APs decode one after another, so decoders 1..k−1 are siblings
+	// of decoder 0: each keeps its own result arenas, but the worker
+	// set and its transform scratch exist once, not once per AP.
+	n.decoders[0] = core.NewParallelDecoder(book, dcfg, 0)
+	for a := 1; a < nAPs; a++ {
+		n.decoders[a] = n.decoders[0].Sibling()
 	}
 	n.mch = air.NewMultiChannel(cfg.Params, nAPs, n.rng)
 
@@ -281,12 +287,15 @@ func (n *MultiAPNetwork) setSlot(i, slot int) {
 
 // SetSoftCombining turns the soft (non-coherent power) cross-AP
 // combining path on or off for subsequent rounds. Enabling it carves
-// the per-AP emit arenas and the combined-spectra decoder on first use;
-// after that warm-up the soft round stays steady-state allocation-free,
-// like the rest of the round path. The combining work is strictly
-// additive: per-AP decodes, selection aggregation and every random draw
-// are untouched, so a network's Combined/PerAP stats are bit-identical
-// with the flag on or off.
+// the combined-spectra decoder and two spectra arenas on first use —
+// one emit scratch and the running sum, independent of the AP count,
+// because the APs decode serially and each AP's emitted spectra are
+// folded into the sum before the next AP decodes. After that warm-up
+// the soft round stays steady-state allocation-free, like the rest of
+// the round path. The combining work is strictly additive: per-AP
+// decodes, selection aggregation and every random draw are untouched,
+// so a network's Combined/PerAP stats are bit-identical with the flag
+// on or off.
 func (n *MultiAPNetwork) SetSoftCombining(on bool) {
 	n.soft = on
 	if !on || n.combDec != nil {
@@ -296,11 +305,7 @@ func (n *MultiAPNetwork) SetSoftCombining(on bool) {
 	payloadBits := n.cfg.PayloadBytes*8 + core.CRCBits
 	emitLen := n.combDec.EmitLen(payloadBits)
 	rc := &n.rc
-	rc.emitArena = make([]float64, n.nAPs*emitLen)
-	rc.emits = make([][]float64, n.nAPs)
-	for a := 0; a < n.nAPs; a++ {
-		rc.emits[a] = rc.emitArena[a*emitLen : (a+1)*emitLen]
-	}
+	rc.emit = make([]float64, emitLen)
 	rc.comb = make([]float64, emitLen)
 	rc.resPlus = make([]*core.FrameDecode, 0, n.nAPs+1)
 	rc.softSel = make([]int, len(rc.sel))
@@ -428,6 +433,12 @@ func (n *MultiAPNetwork) runRound(nDevices int, adv *advRound) (MultiRoundStats,
 		}
 	}
 
+	// Soft combining sums the live APs' emitted power spectra bin-wise
+	// as they decode — serial, in AP order, so bit-identical at any
+	// GOMAXPROCS — and decodes the sum below as one more candidate
+	// decode. Dead APs emit nothing and are excluded, exactly like
+	// their frame decodes.
+	nSummed := 0
 	for a := 0; a < n.nAPs; a++ {
 		if adv != nil && adv.apAlive != nil && !adv.apAlive[a] {
 			rc.res[a] = nil // a dead AP contributes nothing
@@ -436,7 +447,7 @@ func (n *MultiAPNetwork) runRound(nDevices int, adv *advRound) (MultiRoundStats,
 		var res *core.FrameDecode
 		var err error
 		if n.soft {
-			res, err = n.decoders[a].DecodeFrameEmit(rc.sigs[a], 0, rc.shifts[:nDevices], payloadBits, rc.emits[a])
+			res, err = n.decoders[a].DecodeFrameEmit(rc.sigs[a], 0, rc.shifts[:nDevices], payloadBits, rc.emit)
 		} else {
 			res, err = n.decoders[a].DecodeFrame(rc.sigs[a], 0, rc.shifts[:nDevices], payloadBits)
 		}
@@ -444,33 +455,23 @@ func (n *MultiAPNetwork) runRound(nDevices int, adv *advRound) (MultiRoundStats,
 			return MultiRoundStats{}, err
 		}
 		rc.res[a] = res
-	}
-
-	// Soft combining: sum the live APs' emitted power spectra bin-wise
-	// (serial, in AP order — bit-identical at any GOMAXPROCS) and decode
-	// the sum as one more candidate decode. Dead APs' arenas hold stale
-	// spectra and are excluded, exactly like their frame decodes.
-	rc.softRes = nil
-	if n.soft {
-		nSummed := 0
-		for a := 0; a < n.nAPs; a++ {
-			if rc.res[a] == nil {
-				continue
-			}
+		if n.soft {
 			if nSummed == 0 {
-				copy(rc.comb, rc.emits[a])
+				copy(rc.comb, rc.emit)
 			} else {
-				dsp.AddFloat64(rc.comb, rc.emits[a])
+				dsp.AddFloat64(rc.comb, rc.emit)
 			}
 			nSummed++
 		}
-		if nSummed > 0 {
-			res, err := n.combDec.DecodeFrameSpectra(rc.comb, nSummed, rc.shifts[:nDevices], payloadBits)
-			if err != nil {
-				return MultiRoundStats{}, err
-			}
-			rc.softRes = res
+	}
+
+	rc.softRes = nil
+	if n.soft && nSummed > 0 {
+		res, err := n.combDec.DecodeFrameSpectra(rc.comb, nSummed, rc.shifts[:nDevices], payloadBits)
+		if err != nil {
+			return MultiRoundStats{}, err
 		}
+		rc.softRes = res
 	}
 
 	base := RoundStats{

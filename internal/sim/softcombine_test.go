@@ -223,3 +223,51 @@ func TestSoftCombineSurvivesAPDropout(t *testing.T) {
 		t.Fatalf("all-dead round decoded frames: %+v", stats)
 	}
 }
+
+// TestSoftCombiningMemoryIndependentOfAPs pins the soft path's
+// AP-count-independent decode memory. Enabling soft combining on a
+// k-AP network must allocate one emit scratch plus the running sum —
+// under three emit arenas' worth of bytes whatever k is, where a
+// per-AP arena would cost k+1 — and the per-AP decoders must be one
+// sibling family: a single serial demodulator and worker count, with
+// per-AP results still distinct.
+func TestSoftCombiningMemoryIndependentOfAPs(t *testing.T) {
+	for _, k := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			const nDev = 12
+			net := testMultiAPNetwork(t, nDev, k, 31)
+			payloadBits := net.cfg.PayloadBytes*8 + core.CRCBits
+			emitBytes := uint64(8 * net.decoders[0].Serial().EmitLen(payloadBits))
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			net.SetSoftCombining(true)
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got < 2*emitBytes || got >= 3*emitBytes {
+				t.Fatalf("SetSoftCombining allocated %d bytes; want one emit scratch plus the sum, [%d, %d)",
+					got, 2*emitBytes, 3*emitBytes)
+			}
+			if len(net.rc.emit) != len(net.rc.comb) {
+				t.Fatalf("emit scratch %d floats, sum %d", len(net.rc.emit), len(net.rc.comb))
+			}
+
+			dem := net.decoders[0].Serial().Demodulator()
+			for a, dec := range net.decoders[1:] {
+				if dec.Serial().Demodulator() != dem || dec.Workers() != net.decoders[0].Workers() {
+					t.Fatalf("AP %d's decoder is not a sibling of AP 0's: it has its own worker scratch", a+1)
+				}
+				if dec.Serial() == net.decoders[0].Serial() {
+					t.Fatalf("AP %d shares AP 0's result arenas", a+1)
+				}
+			}
+			if _, err := net.RunRound(nDev); err != nil {
+				t.Fatal(err)
+			}
+			for a := 1; a < k; a++ {
+				if net.rc.res[a] == net.rc.res[0] {
+					t.Fatalf("AP %d's decode aliases AP 0's result", a)
+				}
+			}
+		})
+	}
+}

@@ -44,10 +44,16 @@ go test -count=1 -shuffle=on ./...
 
 echo "== go test: several widths =="
 # The channel's oracle bit-identity and the zero-allocation gates of
-# the synthesis, accumulate and round paths must hold at any worker
-# count, not only at the host's: rerun those packages at 1, 2 and 4
-# procs.
-go test -count=1 -cpu 1,2,4 ./internal/air ./internal/synth ./internal/radio ./internal/core ./internal/sim
+# the synthesis, accumulate, decode, round and tenant-round paths — and
+# the pool's own resident-helper gates — must hold at any worker count,
+# not only at the host's: rerun those packages at 1, 2 and 4 procs.
+go test -count=1 -cpu 1,2,4 ./internal/air ./internal/synth ./internal/radio ./internal/core ./internal/sim ./internal/serve ./internal/pool
+
+echo "== cross-build: arm64 =="
+# Every AVX2 kernel needs a !amd64 stub; without one, non-amd64 builds
+# break while amd64 stays green. Cross-compiling (offline, no cgo)
+# catches a missing or mismatched stub.
+GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/dsp
 
 echo "== fuzz seed corpus =="
 # Runs every Fuzz* target over its committed seeds (no exploration):
@@ -62,16 +68,19 @@ echo "== race: concurrent paths =="
 # the batch-vs-oracle bit-exactness sweep), the tiled channel path
 # (template fan-out + tile workers, with the GOMAXPROCS ∈ {1,2,4}
 # sweeps against the materializing channel oracle), the multi-AP fan-out (shared-template per-AP
-# scaling, (AP, tile) workers, per-AP decodes — with its own
-# GOMAXPROCS and single-AP-oracle sweeps), the adversarial trajectory
-# runner (oracle bit-identity, churn/dropout recovery accounting, the
-# full-adversity GOMAXPROCS sweep), the soft cross-AP combining path
-# (emit arenas filled by pool workers, serial bin-wise sum, its own
-# GOMAXPROCS sweep) and the stream/noise kernels, all under the race
-# detector. The MatchesScalar|ZeroAlloc|SIMDMatches names pull in the
-# per-kernel scalar-vs-vector bit-exactness gates (axpy/scale, fused
-# noise add, dechirp, window-power scan, interleaved synthesis chains,
-# ziggurat batch fill) so the vector dispatch seams also run raced.
+# scaling, (AP, tile) workers, per-AP decodes on one sibling decoder
+# family sharing its worker scratch — with its own GOMAXPROCS and
+# single-AP-oracle sweeps), the adversarial trajectory runner (oracle
+# bit-identity, churn/dropout recovery accounting, the full-adversity
+# GOMAXPROCS sweep), the soft cross-AP combining path (one emit scratch
+# filled by pool workers for each AP in turn, folded serially into the
+# bin-wise sum, its own GOMAXPROCS sweep), the pool's resident helpers
+# under concurrent nested callers, and the stream/noise kernels, all
+# under the race detector. The MatchesScalar|ZeroAlloc|SIMDMatches
+# names pull in the per-kernel scalar-vs-vector bit-exactness gates
+# (axpy/scale, fused noise add, dechirp, window-power scan, planar
+# power spectrum, interleaved synthesis chains, ziggurat batch fill) so
+# the vector dispatch seams also run raced.
 go test -race -count=1 -run 'Concurrent|Parallel|Race|Mixed|Tiled|Stream|MultiAP|MultiChannel|Trajectory|Churn|Dropout|Soft|Emit|Fair|Accumulator|MatchesScalar|ZeroAlloc|SIMDMatches' ./internal/sim ./internal/core ./internal/air ./internal/pool ./internal/dsp ./internal/radio
 
 echo "== campaign: unit + resume + race =="
