@@ -13,7 +13,6 @@ import (
 
 	"netscatter/internal/chirp"
 	"netscatter/internal/dsp"
-	"netscatter/internal/pool"
 	"netscatter/internal/radio"
 )
 
@@ -45,11 +44,6 @@ type Transmission struct {
 	// FixedPhase disables the random carrier phase (for deterministic
 	// spectral tests).
 	FixedPhase bool
-}
-
-// contributes reports whether the transmission adds any samples.
-func (tx *Transmission) contributes() bool {
-	return tx.MixedTmpl != nil && tx.MixedAddRange != nil
 }
 
 // WaveformTx returns a transmission carrying an arbitrary time-domain
@@ -96,10 +90,11 @@ func splitDelay(delaySec, sampleRate float64) (intDelay int, fracSamples float64
 	return intDelay, delaySamples - float64(intDelay)
 }
 
-// Channel assembles received frames for one chirp parameter set. Its
-// synthesis scratch is reused across Receive calls; a Channel is not
-// safe for concurrent use (it owns an Rng), but one channel per
-// goroutine is cheap.
+// Channel assembles received frames for one chirp parameter set: the
+// one-AP view of a MultiChannel, taking scalar-SNR transmissions. Its
+// scratch is reused across Receive calls; a Channel is not safe for
+// concurrent use (it owns an Rng), but one channel per goroutine is
+// cheap.
 type Channel struct {
 	// Params supplies the sample rate.
 	Params chirp.Params
@@ -109,25 +104,14 @@ type Channel struct {
 	// Rng drives noise, phases and nothing else.
 	Rng *dsp.Rand
 
-	// Reused per-call state: carrier gains, the per-transmission
-	// template arena (2N samples per device, synthesized once per
-	// receive and read by every tile), per-transmission placements, and
-	// the persistent template/tile workers with the in-flight call state
-	// they read (a fresh closure per call would heap-allocate every
-	// round). All of it is written before the fan-out and only read
-	// inside it.
-	gains     []complex128
-	tmplArena []complex128
-	tmpls     [][]complex128
-	txAt      []int
-	txFrac    []float64
-
-	tmplWorker func(i int)
-	tileWorker func(t int)
-	curTxs     []Transmission
-	curOut     []complex128
-	curKey     int64
-	noiseOn    bool
+	// The one-AP engine, built on first receive, with the exported
+	// fields above forwarded on every call; txs and snrs are the reused
+	// multi-AP copies of the caller's transmissions, outs its one
+	// receive buffer.
+	mc   *MultiChannel
+	txs  []MultiTransmission
+	snrs []float64
+	outs [1][]complex128
 }
 
 // tileSamples is the channel's partition grain: 4096 complex samples
@@ -157,69 +141,47 @@ func (c *Channel) Receive(length int, txs []Transmission) []complex128 {
 // downchirps), given a random carrier phase, and superposed, with
 // thermal noise added on top.
 //
-// Templates are synthesized once per transmission (in parallel), then
-// fixed cache-sized tiles of out are zeroed, accumulated in
+// The receive is a one-AP MultiChannel receive: templates are
+// synthesized once per transmission with the carrier gain folded in,
+// then fixed cache-sized tiles of out are zeroed, accumulated in
 // transmission order and noise-filled independently across the worker
-// pool.
-//
-// Determinism is exact: carrier phases are drawn from the channel Rng
-// in transmission order before any fan-out, one more serial draw keys
-// the round's noise, synthesis draws no randomness, per-sample
-// accumulation order is transmission order regardless of tile
-// scheduling, and each tile's noise comes from its tile-indexed stream
-// (dsp.StreamAt) rather than any worker-owned generator — so the output
-// is bit-identical for a given seed at any GOMAXPROCS.
+// pool. Determinism is exact: carrier phases are drawn from the
+// channel Rng in transmission order before any fan-out, one more
+// serial draw keys the round's noise, and tile t's noise comes from
+// dsp.StreamAt(key, t) — so the output is bit-identical for a given
+// seed at any GOMAXPROCS.
 func (c *Channel) ReceiveInto(out []complex128, txs []Transmission) []complex128 {
-	c.prepareGains(txs)
-
-	// The round's noise key: one serial draw from the channel Rng keys
-	// every tile's noise stream (dsp.StreamAt(key, tile)). Noise is thus
-	// a pure function of the Rng sequence and the fixed tile grid —
-	// replayable by reseeding the Rng and identical at any worker count.
-	noise := c.NoisePower > 0 && c.Rng != nil
-	var key int64
-	if noise {
-		key = int64(c.Rng.Uint64())
+	if c.mc == nil {
+		c.mc = NewMultiChannel(c.Params, 1, c.Rng)
 	}
-	c.receive(out, txs, noise, key)
-	return out
-}
-
-// ReceiveIntoKeyed is ReceiveInto with the round's noise key supplied
-// by the caller instead of drawn from the channel Rng: tile t draws its
-// noise from dsp.StreamAt(key, t). Carrier phases for non-FixedPhase
-// transmissions still come from the channel Rng, in transmission order.
-// This is the single-AP oracle hook the multi-AP fan-out is pinned
-// against — MultiChannel gives AP a the key masterKey^a, and a plain
-// Channel handed the same key and per-AP transmissions must reproduce
-// that AP's buffer bit for bit (see MultiChannel and multiap tests).
-func (c *Channel) ReceiveIntoKeyed(out []complex128, txs []Transmission, key int64) []complex128 {
-	c.prepareGains(txs)
-	c.receive(out, txs, c.NoisePower > 0, key)
-	return out
-}
-
-// prepareGains fills the per-transmission carrier gains (SNR amplitude
-// × optional fade × random carrier phase), drawn from the channel Rng
-// in transmission order before any fan-out.
-func (c *Channel) prepareGains(txs []Transmission) {
-	if cap(c.gains) < len(txs) {
-		c.gains = make([]complex128, len(txs))
+	c.mc.Params, c.mc.NoisePower, c.mc.Rng = c.Params, c.NoisePower, c.Rng
+	n := len(txs)
+	if cap(c.txs) < n {
+		c.txs = make([]MultiTransmission, n)
+		c.snrs = make([]float64, n)
 	}
-	gains := c.gains[:len(txs)]
+	mtxs, snrs := c.txs[:n], c.snrs[:n]
 	for i := range txs {
 		tx := &txs[i]
-		if !tx.contributes() {
-			continue // no waveform: consumes no randomness
+		snrs[i] = tx.SNRdB
+		mtxs[i] = MultiTransmission{
+			MixedTmpl:     tx.MixedTmpl,
+			MixedAddRange: tx.MixedAddRange,
+			SNRdB:         snrs[i : i+1],
+			DelaySec:      tx.DelaySec,
+			FreqOffsetHz:  tx.FreqOffsetHz,
+			FadeGain:      tx.FadeGain,
+			FixedPhase:    tx.FixedPhase,
 		}
-		gains[i] = carrierGain(tx.SNRdB, tx.FadeGain, tx.FixedPhase, c.Rng)
 	}
+	c.outs[0] = out
+	c.mc.ReceiveInto(c.outs[:], mtxs)
+	c.outs[0] = nil
+	return out
 }
 
 // carrierGain composes one link's carrier gain: SNR amplitude, then the
-// optional fade, then the random phase. The multi-AP channel builds its
-// per-(device, AP) scales through this same function, so a scale and a
-// single-AP gain composed from the same inputs are the same bits.
+// optional fade, then the random phase.
 func carrierGain(snrDB float64, fade complex128, fixedPhase bool, rng *dsp.Rand) complex128 {
 	gain := complex(radio.AmplitudeForSNRdB(snrDB), 0)
 	if fade != 0 {
@@ -229,85 +191,6 @@ func carrierGain(snrDB float64, fade complex128, fixedPhase bool, rng *dsp.Rand)
 		gain *= rng.UniformPhase()
 	}
 	return gain
-}
-
-// receive runs the accumulate + noise phases with the gains already
-// prepared and the noise key fixed. Phase one synthesizes every
-// transmission's templates into the channel's template arena
-// (independent per transmission, fanned across the pool). Phase two
-// partitions out into fixed tileSamples-sized tiles; each tile zeroes
-// its span, accumulates every transmission's overlap in transmission
-// order, and adds its own noise stream — bit-identical to the serial
-// whole-buffer pass because each output sample sees the same additions
-// in the same order no matter how tiles are scheduled, and each tile's
-// noise comes from the tile-indexed stream, not from a worker-owned
-// generator.
-func (c *Channel) receive(out []complex128, txs []Transmission, noise bool, key int64) {
-	nTx := len(txs)
-	n2 := 2 * c.Params.N()
-	if cap(c.txAt) < nTx {
-		c.txAt = make([]int, nTx)
-		c.txFrac = make([]float64, nTx)
-		c.tmpls = make([][]complex128, nTx)
-	}
-	if cap(c.tmplArena) < nTx*n2 {
-		c.tmplArena = make([]complex128, nTx*n2)
-	}
-	c.txAt = c.txAt[:nTx]
-	c.txFrac = c.txFrac[:nTx]
-	c.tmpls = c.tmpls[:nTx]
-	fs := c.Params.SampleRate()
-	for i := range txs {
-		c.txAt[i], c.txFrac[i] = splitDelay(txs[i].DelaySec, fs)
-		c.tmpls[i] = c.tmplArena[i*n2 : i*n2 : (i+1)*n2]
-	}
-
-	if c.tmplWorker == nil {
-		c.tmplWorker = c.tmplOne
-		c.tileWorker = c.tileOne
-	}
-	c.curTxs = txs
-	c.curOut = out
-	c.curKey = key
-	c.noiseOn = noise
-	pool.ForEach(nTx, c.tmplWorker)
-	nTiles := (len(out) + tileSamples - 1) / tileSamples
-	pool.ForEach(nTiles, c.tileWorker)
-	c.curTxs = nil
-	c.curOut = nil
-}
-
-// tmplOne synthesizes transmission i's templates into its arena slot
-// (frequency offset, carrier gain and fractional delay folded in).
-func (c *Channel) tmplOne(i int) {
-	tx := &c.curTxs[i]
-	if !tx.contributes() {
-		return
-	}
-	c.tmpls[i] = tx.MixedTmpl(c.tmpls[i], c.txFrac[i], tx.FreqOffsetHz, c.gains[i])
-}
-
-// tileOne builds tile t of the in-flight receive: zero, accumulate
-// every transmission's overlap in order, add the tile's noise stream.
-func (c *Channel) tileOne(t int) {
-	out := c.curOut
-	lo := t * tileSamples
-	hi := min(lo+tileSamples, len(out))
-	w := out[lo:hi]
-	for i := range w {
-		w[i] = 0
-	}
-	for i := range c.curTxs {
-		tx := &c.curTxs[i]
-		if !tx.contributes() {
-			continue
-		}
-		tx.MixedAddRange(out, lo, hi, c.txAt[i], c.tmpls[i], c.txFrac[i], tx.FreqOffsetHz)
-	}
-	if c.noiseOn {
-		st := dsp.StreamAt(c.curKey, uint64(t))
-		radio.AddAWGN(&st, w, c.NoisePower)
-	}
 }
 
 // growComplex returns dst extended to length m, reusing its storage

@@ -30,7 +30,8 @@ import (
 // every AP of a multi-AP receive. The synthesis closures follow the
 // tiled Transmission contract (MixedTmpl / MixedAddRange) and are the
 // same closures a single-AP round would install — MixedTmpl is called
-// exactly once per receive, with unit gain; per-AP gains are applied by
+// exactly once per receive: with AP 0's carrier gain on a one-AP
+// channel, with unit gain otherwise, the per-AP gains then applied by
 // scaling the resulting templates (ScaleTemplate).
 type MultiTransmission struct {
 	// MixedTmpl synthesizes the device's mixed template symbols with
@@ -65,9 +66,7 @@ func (tx *MultiTransmission) contributes() bool {
 
 // ScaleTemplate writes src scaled by c into dst (grown from its
 // capacity as needed) and returns it. This is the whole per-AP
-// synthesis cost of the multi-AP fan-out — and the exact operation the
-// single-AP oracle closures perform, so a MultiChannel buffer and its
-// oracle Channel receive are the same bits.
+// synthesis cost of the multi-AP fan-out.
 func ScaleTemplate(dst, src []complex128, c complex128) []complex128 {
 	dst = growComplex(dst[:0], len(src))
 	dsp.ScaleInto(dst, src, c)
@@ -77,20 +76,25 @@ func ScaleTemplate(dst, src []complex128, c complex128) []complex128 {
 // MultiChannel assembles the k received streams of a shared deployment
 // heard by k APs, synthesizing each device's template symbols once and
 // fanning them out to every AP's buffer with per-AP gain and per-AP
-// tile-indexed noise streams.
+// tile-indexed noise streams. It is the channel's one receive engine:
+// a single-AP Channel is a one-AP MultiChannel.
 //
-// Determinism contract (the single-AP Channel's, extended per AP): the
-// per-(device, AP) scales are drawn from the channel Rng serially in
-// (device, AP) order, one more serial draw keys the round's noise, and
-// AP a's tile t draws its noise from dsp.StreamAt(key^a, t). Signal
-// accumulation within a tile runs in transmission order. Output is
-// therefore bit-identical for a given seed at any GOMAXPROCS, and AP
-// a's buffer is bit-identical to a single-AP Channel.ReceiveIntoKeyed
-// with key^a and that AP's scaled-template transmissions — the
-// test-enforced oracle.
+// At k = 1 each device's templates are synthesized straight into the
+// AP's template slot with the carrier gain folded in — no unit-gain
+// base copy, no scaling pass. At k ≥ 2 they are synthesized once at
+// unit gain and scaled into each AP's slot. The switch follows the AP
+// count alone.
 //
-// Like Channel, a MultiChannel reuses its arenas across receives and is
-// not safe for concurrent use.
+// Determinism contract: the per-(device, AP) scales are drawn from the
+// channel Rng serially in (device, AP) order, one more serial draw keys
+// the round's noise, and AP a's tile t draws its noise from
+// dsp.StreamAt(key^a, t). Signal accumulation within a tile runs in
+// transmission order. Output is therefore bit-identical for a given
+// seed at any GOMAXPROCS; the serial reference receiver in the package
+// tests pins every AP's buffer bit for bit.
+//
+// A MultiChannel reuses its arenas across receives and is not safe for
+// concurrent use.
 type MultiChannel struct {
 	// Params supplies the sample rate.
 	Params chirp.Params
@@ -103,9 +107,10 @@ type MultiChannel struct {
 	nAPs int
 
 	// Reused per-call state: per-(device, AP) scales, the shared base
-	// template arena (one 2N slot per device, synthesized once), the
-	// per-AP scaled template arena (k·nTx slots), placements, and the
-	// persistent workers with the in-flight call state they read.
+	// template arena (one 2N slot per device, synthesized once; k ≥ 2
+	// only), the per-AP template arena (k·nTx slots), placements, and
+	// the persistent workers with the in-flight call state they read (a
+	// fresh closure per call would heap-allocate every round).
 	scales    []complex128
 	baseArena []complex128
 	base      [][]complex128
@@ -147,11 +152,11 @@ func (mc *MultiChannel) Receive(length int, txs []MultiTransmission) [][]complex
 
 // ReceiveInto builds the k per-AP received streams into outs (one
 // equal-length buffer per AP, each zeroed and refilled) and returns
-// outs. Template synthesis runs once per device; per-AP templates are
-// scaled copies; then the k·nTiles (AP, tile) pairs — each zeroing,
-// accumulating every device's overlap in transmission order, and
-// adding its AP- and tile-indexed noise stream — fan out across the
-// worker pool in a single pass.
+// outs. Template synthesis runs once per device; at k ≥ 2 the per-AP
+// templates are scaled copies; then the k·nTiles (AP, tile) pairs —
+// each zeroing, accumulating every device's overlap in transmission
+// order, and adding its AP- and tile-indexed noise stream — fan out
+// across the worker pool in a single pass.
 func (mc *MultiChannel) ReceiveInto(outs [][]complex128, txs []MultiTransmission) [][]complex128 {
 	k := mc.nAPs
 	if len(outs) != k {
@@ -171,7 +176,7 @@ func (mc *MultiChannel) ReceiveInto(outs [][]complex128, txs []MultiTransmission
 		mc.base = make([][]complex128, nTx)
 		mc.scales = make([]complex128, nTx*k)
 	}
-	if cap(mc.baseArena) < nTx*n2 {
+	if k > 1 && cap(mc.baseArena) < nTx*n2 {
 		mc.baseArena = make([]complex128, nTx*n2)
 	}
 	if cap(mc.apArena) < k*nTx*n2 {
@@ -184,16 +189,16 @@ func (mc *MultiChannel) ReceiveInto(outs [][]complex128, txs []MultiTransmission
 	mc.scales = mc.scales[:nTx*k]
 	mc.apTmpls = mc.apTmpls[:k*nTx]
 
-	// Serial phase: per-(device, AP) scales in (device, AP) order —
-	// the same carrier-gain composition the single-AP channel uses per
-	// transmission — then the round's noise key. Everything after this
-	// point draws no randomness, so the fan-out cannot perturb the
-	// sequence.
+	// Serial phase: per-(device, AP) scales in (device, AP) order, then
+	// the round's noise key. Everything after this point draws no
+	// randomness, so the fan-out cannot perturb the sequence.
 	fs := mc.Params.SampleRate()
 	for i := range txs {
 		tx := &txs[i]
 		mc.txAt[i], mc.txFrac[i] = splitDelay(tx.DelaySec, fs)
-		mc.base[i] = mc.baseArena[i*n2 : i*n2 : (i+1)*n2]
+		if k > 1 {
+			mc.base[i] = mc.baseArena[i*n2 : i*n2 : (i+1)*n2]
+		}
 		if tx.contributes() && len(tx.SNRdB) < k {
 			panic(fmt.Sprintf("air: transmission %d has %d per-AP SNRs for %d APs", i, len(tx.SNRdB), k))
 		}
@@ -201,7 +206,7 @@ func (mc *MultiChannel) ReceiveInto(outs [][]complex128, txs []MultiTransmission
 			slot := a*nTx + i
 			mc.apTmpls[slot] = mc.apArena[slot*n2 : slot*n2 : (slot+1)*n2]
 			if !tx.contributes() {
-				continue // consumes no randomness, like the single-AP path
+				continue // no waveform: consumes no randomness
 			}
 			mc.scales[i*k+a] = carrierGain(tx.SNRdB[a], tx.FadeGain, tx.FixedPhase, mc.Rng)
 		}
@@ -228,15 +233,20 @@ func (mc *MultiChannel) ReceiveInto(outs [][]complex128, txs []MultiTransmission
 	return outs
 }
 
-// tmplOne synthesizes device i's base template symbols (fractional
-// delay and frequency offset folded in, unit gain) — the round's only
-// synthesis call for the device — and scales the k per-AP copies.
+// tmplOne synthesizes device i's template symbols (fractional delay
+// and frequency offset folded in) — the round's only synthesis call for
+// the device. One AP's templates are synthesized in place with its
+// carrier gain; k ≥ 2 APs get scaled copies of a unit-gain base.
 func (mc *MultiChannel) tmplOne(i int) {
 	tx := &mc.curTxs[i]
 	if !tx.contributes() {
 		return
 	}
 	k := mc.nAPs
+	if k == 1 {
+		mc.apTmpls[i] = tx.MixedTmpl(mc.apTmpls[i], mc.txFrac[i], tx.FreqOffsetHz, mc.scales[i])
+		return
+	}
 	nTx := len(mc.curTxs)
 	mc.base[i] = tx.MixedTmpl(mc.base[i], mc.txFrac[i], tx.FreqOffsetHz, 1)
 	for a := 0; a < k; a++ {
@@ -248,9 +258,7 @@ func (mc *MultiChannel) tmplOne(i int) {
 // tileOne builds (AP, tile) pair j of the in-flight receive: zero the
 // tile, accumulate every device's overlap in transmission order from
 // that AP's scaled templates, then add the AP's tile-indexed noise
-// stream (dsp.StreamAt(key^ap, tile)). AP 0's noise streams are
-// exactly the single-AP channel's for the same key, so a one-AP multi
-// receive degenerates to the classic path.
+// stream (dsp.StreamAt(key^ap, tile)).
 func (mc *MultiChannel) tileOne(j int) {
 	a := j / mc.nTiles
 	t := j % mc.nTiles

@@ -8,10 +8,12 @@ import (
 	"testing"
 
 	"netscatter/internal/air"
+	"netscatter/internal/chirp"
 	"netscatter/internal/core"
 	"netscatter/internal/dsp"
 	"netscatter/internal/radio"
 	"netscatter/internal/simtest"
+	"netscatter/internal/synth"
 )
 
 // mirrorScalesAndKey replays the MultiChannel's serial randomness for a
@@ -38,15 +40,32 @@ func mirrorScalesAndKey(seed int64, txs []air.MultiTransmission, nAPs int) ([][]
 	return scales, int64(rng.Uint64())
 }
 
-// TestMultiChannelMatchesSingleAPOracles pins the tentpole's
+// scaledTemplateFrame materializes a device's frame the way a k ≥ 2
+// MultiChannel builds it: templates synthesized at unit gain, scaled by
+// the AP's carrier gain (ScaleTemplate), then the whole frame
+// accumulated from them in one serial pass.
+func scaledTemplateFrame(p chirp.Params, shift int, bits []byte) func(frac, freqHz float64, gain complex128) []complex128 {
+	enc := core.NewEncoder(p, shift)
+	return func(frac, freqHz float64, gain complex128) []complex128 {
+		tmpl := air.ScaleTemplate(nil, enc.FrameBitsWaveformMixedTemplates(nil, bits, frac, freqHz, 1), gain)
+		frame := make([]complex128, synth.For(p).FrameSamples(core.PreambleSymbols+len(bits), frac))
+		enc.FrameBitsWaveformMixedAddRange(frame, 0, len(frame), 0, tmpl, bits, frac, freqHz)
+		return frame
+	}
+}
+
+// TestMultiChannelMatchesSingleAPOracles pins the fan-out's
 // bit-exactness contract: each per-AP buffer of a MultiChannel receive
-// must be DeepEqual to an independent single-AP air.Channel receive
-// (the retained oracle) given the same per-AP noise key (masterKey^ap)
-// and that AP's scaled-template transmissions. The oracle channels
-// re-derive everything from scratch — fresh encoders, the mirrored
-// scale draws — so the equality validates the fan-out's scale
-// composition, accumulation order, tile grid and noise-key derivation
-// against the single-AP engine, for k ∈ {1, 2, 4}.
+// must equal the serial reference receiver (receiveOracle) given the
+// mirrored per-(device, AP) scale draws and that AP's noise key
+// (masterKey^ap). At k = 1 the expected frames are the single-AP
+// definition — carrier gain folded into synthesis — so a one-AP
+// MultiChannel is exactly the single-AP channel; at k ≥ 2 they are
+// unit-gain templates scaled per AP. The oracle re-derives everything
+// from scratch — fresh synthesizers and encoders, the mirrored scale
+// draws — so the equality validates the fan-out's scale composition,
+// accumulation order, tile grid and noise-key derivation, for
+// k ∈ {1, 2, 4}.
 func TestMultiChannelMatchesSingleAPOracles(t *testing.T) {
 	p := simtest.SmallParams()
 	const nDev = 7
@@ -62,28 +81,22 @@ func TestMultiChannelMatchesSingleAPOracles(t *testing.T) {
 
 		scales, key := mirrorScalesAndKey(seed, txs, k)
 		for a := 0; a < k; a++ {
-			oracle := air.NewChannel(p, dsp.NewRand(1))
-			otxs := make([]air.Transmission, nDev)
-			for i := 0; i < nDev; i++ {
-				enc := core.NewEncoder(p, (i*7+3)%p.N())
-				b := bits[i]
-				scale := scales[i][a]
-				otx := &otxs[i]
-				otx.DelaySec = txs[i].DelaySec
-				otx.FreqOffsetHz = txs[i].FreqOffsetHz
-				otx.FixedPhase = true // scale already carries the phase
-				otx.MixedTmpl = func(tmpl []complex128, frac, freqHz float64, gain complex128) []complex128 {
-					base := enc.FrameBitsWaveformMixedTemplates(nil, b, frac, freqHz, 1)
-					return air.ScaleTemplate(tmpl, base, scale)
+			fleet := make([]oracleTx, nDev)
+			gains := make([]complex128, nDev)
+			for i := range fleet {
+				shift := (i*7 + 3) % p.N()
+				fleet[i].tx = air.Transmission{DelaySec: txs[i].DelaySec, FreqOffsetHz: txs[i].FreqOffsetHz}
+				if k == 1 {
+					fleet[i].frame = mixedFrame(p, shift, bits[i])
+				} else {
+					fleet[i].frame = scaledTemplateFrame(p, shift, bits[i])
 				}
-				otx.MixedAddRange = func(out []complex128, lo, hi, at int, tmpl []complex128, frac, freqHz float64) {
-					enc.FrameBitsWaveformMixedAddRange(out, lo, hi, at, tmpl, b, frac, freqHz)
-				}
+				gains[i] = scales[i][a]
 			}
-			want := oracle.ReceiveIntoKeyed(make([]complex128, length), otxs, key^int64(a))
+			want := receiveOracle(p, length, fleet, gains, key^int64(a))
 			if !reflect.DeepEqual(outs[a], want) {
 				i := firstDiff(outs[a], want)
-				t.Fatalf("k=%d AP %d diverges from single-AP oracle at sample %d: %v vs %v",
+				t.Fatalf("k=%d AP %d diverges from the serial oracle at sample %d: %v vs %v",
 					k, a, i, outs[a][i], want[i])
 			}
 		}
@@ -171,23 +184,57 @@ func TestMultiChannelBitIdenticalAcrossGOMAXPROCSRace(t *testing.T) {
 }
 
 // TestMultiChannelZeroAllocSteadyState: after a warm-up receive, the
-// multi-AP fan-out reuses every arena — base templates, per-AP scaled
-// templates, scales, placements — so steady-state receives allocate
-// nothing at GOMAXPROCS=1.
+// fan-out reuses every arena — base templates, per-AP templates,
+// scales, placements — so steady-state receives allocate nothing at
+// GOMAXPROCS=1, at one AP and at two.
 func TestMultiChannelZeroAllocSteadyState(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 
 	p := simtest.SmallParams()
 	const nDev = 6
-	const k = 2
+	for _, k := range []int{1, 2} {
+		bits := simtest.Bits(nDev, 10, 6)
+		txs := simtest.MultiTxs(p, nDev, k, bits)
+		mc := air.NewMultiChannel(p, k, dsp.NewRand(9))
+		outs := mc.Receive((8+10+2)*p.N(), txs)
+		allocs := testing.AllocsPerRun(10, func() { mc.ReceiveInto(outs, txs) })
+		if allocs != 0 {
+			t.Fatalf("k=%d: steady-state receive allocates %.1f objects/op", k, allocs)
+		}
+	}
+}
+
+// TestMultiChannelOneAPNoBaseArena: a one-AP receive synthesizes into
+// its AP's template slots directly, so its first receive allocates one
+// template arena (nDev·2N samples), not a unit-gain base arena beside
+// it; two APs allocate the base plus two per-AP arenas.
+func TestMultiChannelOneAPNoBaseArena(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+
+	p := simtest.SmallParams()
+	const nDev = 32
+	arena := uint64(nDev * 2 * p.N() * 16)
 	bits := simtest.Bits(nDev, 10, 6)
-	txs := simtest.MultiTxs(p, nDev, k, bits)
-	mc := air.NewMultiChannel(p, k, dsp.NewRand(9))
-	outs := mc.Receive((8+10+2)*p.N(), txs)
-	allocs := testing.AllocsPerRun(10, func() { mc.ReceiveInto(outs, txs) })
-	if allocs != 0 {
-		t.Fatalf("steady-state multi-AP receive allocates %.1f objects/op", allocs)
+	length := (8 + 10 + 2) * p.N()
+	for _, tc := range []struct{ k, arenas int }{{1, 1}, {2, 3}} {
+		txs := simtest.MultiTxs(p, nDev, tc.k, bits)
+		outs := make([][]complex128, tc.k)
+		for a := range outs {
+			outs[a] = make([]complex128, length)
+		}
+		mc := air.NewMultiChannel(p, tc.k, dsp.NewRand(9))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		mc.ReceiveInto(outs, txs)
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		lo, hi := uint64(tc.arenas)*arena, uint64(tc.arenas+1)*arena
+		if got < lo || got >= hi {
+			t.Fatalf("k=%d: first receive allocated %d bytes, want [%d, %d) (%d template arenas)",
+				tc.k, got, lo, hi, tc.arenas)
+		}
 	}
 }
 

@@ -25,24 +25,12 @@ type oracleTx struct {
 }
 
 // receiveOracle is the channel's reference definition, built from the
-// materializing primitives: carrier gains and the round key drawn from
-// a fresh Rng in the channel's order, every frame materialized whole
-// and superposed with radio.Superpose in transmission order, then each
-// tile's noise from dsp.StreamAt(key, tile).
-func receiveOracle(p chirp.Params, seed int64, length int, txs []oracleTx) []complex128 {
-	rng := dsp.NewRand(seed)
-	gains := make([]complex128, len(txs))
-	for i, o := range txs {
-		gains[i] = complex(radio.AmplitudeForSNRdB(o.tx.SNRdB), 0)
-		if o.tx.FadeGain != 0 {
-			gains[i] *= o.tx.FadeGain
-		}
-		if !o.tx.FixedPhase {
-			gains[i] *= rng.UniformPhase()
-		}
-	}
-	key := int64(rng.Uint64())
-
+// materializing primitives: every frame materialized whole with its
+// carrier gain (gains[i]) and superposed with radio.Superpose in
+// transmission order, then each tile's unit-power noise from
+// dsp.StreamAt(key, tile). It reads only the placement scalars of each
+// transmission (DelaySec, FreqOffsetHz); gains and key are explicit.
+func receiveOracle(p chirp.Params, length int, txs []oracleTx, gains []complex128, key int64) []complex128 {
 	out := make([]complex128, length)
 	fs := p.SampleRate()
 	for i, o := range txs {
@@ -57,11 +45,39 @@ func receiveOracle(p chirp.Params, seed int64, length int, txs []oracleTx) []com
 	return out
 }
 
+// drawGainsAndKey replays the channel's serial randomness from a fresh
+// Rng: carrier gains (SNR amplitude, fade, random phase) in
+// transmission order, then the round's noise key.
+func drawGainsAndKey(seed int64, txs []oracleTx) ([]complex128, int64) {
+	rng := dsp.NewRand(seed)
+	gains := make([]complex128, len(txs))
+	for i, o := range txs {
+		gains[i] = complex(radio.AmplitudeForSNRdB(o.tx.SNRdB), 0)
+		if o.tx.FadeGain != 0 {
+			gains[i] *= o.tx.FadeGain
+		}
+		if !o.tx.FixedPhase {
+			gains[i] *= rng.UniformPhase()
+		}
+	}
+	return gains, int64(rng.Uint64())
+}
+
+// mixedFrame materializes a device's frame with synth.FrameMixedInto:
+// fractional delay, frequency offset and carrier gain folded into
+// synthesis — the single-AP definition of a device's waveform.
+func mixedFrame(p chirp.Params, shift int, bits []byte) func(frac, freqHz float64, gain complex128) []complex128 {
+	s := synth.For(p)
+	return func(frac, freqHz float64, gain complex128) []complex128 {
+		omega := 2 * math.Pi * freqHz / p.SampleRate()
+		return s.FrameMixedInto(nil, shift, core.PreambleUpSymbols, core.PreambleDownSymbols, bits, frac, omega, gain)
+	}
+}
+
 // encoderFleet builds nDev encoder transmissions (Encoder.Tx) with
 // spread SNRs, fractional delays, frequency offsets and fades, each
-// paired with its synth.FrameMixedInto materializer.
+// paired with its mixedFrame materializer.
 func encoderFleet(p chirp.Params, nDev, nBits int) []oracleTx {
-	s := synth.For(p)
 	bits := simtest.Bits(nDev, nBits, int64(nDev))
 	fleet := make([]oracleTx, nDev)
 	for i := range fleet {
@@ -73,10 +89,7 @@ func encoderFleet(p chirp.Params, nDev, nBits int) []oracleTx {
 		if i%4 == 1 {
 			tx.FadeGain = complex(0.6, -0.3)
 		}
-		fleet[i] = oracleTx{tx, func(frac, freqHz float64, gain complex128) []complex128 {
-			omega := 2 * math.Pi * freqHz / p.SampleRate()
-			return s.FrameMixedInto(nil, shift, core.PreambleUpSymbols, core.PreambleDownSymbols, b, frac, omega, gain)
-		}}
+		fleet[i] = oracleTx{tx, mixedFrame(p, shift, b)}
 	}
 	return fleet
 }
@@ -132,7 +145,8 @@ func TestReceiveIntoMatchesOracleRace(t *testing.T) {
 			t.Fatalf("%v: %d samples fit one tile", tc.p, length)
 		}
 		const seed = 61
-		want := receiveOracle(tc.p, seed, length, fleet)
+		gains, key := drawGainsAndKey(seed, fleet)
+		want := receiveOracle(tc.p, length, fleet, gains, key)
 		for _, procs := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("sf=%d/bw=%g/os=%d/procs=%d", tc.p.SF, tc.p.BW, tc.p.Oversample, procs), func(t *testing.T) {
 				prev := runtime.GOMAXPROCS(procs)

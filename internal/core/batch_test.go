@@ -42,7 +42,7 @@ func TestDecodeBatchMatchesOracleRace(t *testing.T) {
 			cfg.NoiseFloor = tc.noiseFloor
 
 			oracle := NewDecoder(book, cfg)
-			oracleRes, err := oracle.DecodeFrameOracle(sig, 0, shifts, bitsLen)
+			oracleRes, err := oracle.decodeFrameOracle(sig, 0, shifts, bitsLen)
 			if err != nil {
 				t.Fatal(err)
 			}

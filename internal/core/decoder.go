@@ -210,8 +210,8 @@ func (d *Decoder) Demodulator() *chirp.Demodulator { return d.dem }
 // dechirped and transformed per pre-planned pass, and payload peak
 // powers are written straight into the decoder's candidate-major power
 // arena without materializing per-symbol spectra. The output is
-// bit-identical to DecodeFrameOracle, the retained single-symbol path —
-// a property the test suite enforces.
+// bit-identical to the single-symbol path (decodeFrameOracle in the
+// package tests) — a property the test suite enforces.
 func (d *Decoder) DecodeFrame(sig []complex128, start int, shifts []int, payloadBits int) (*FrameDecode, error) {
 	if err := d.begin(sig, start, shifts, payloadBits); err != nil {
 		return nil, err
@@ -239,47 +239,6 @@ func (d *Decoder) DecodeFrame(sig []complex128, start int, shifts []int, payload
 	d.preparePayload(payloadBits)
 	payloadStart := start + PreambleSymbols*n
 	d.dem.ScanBatch(sig, payloadStart, 0, payloadBits, d.payCenter, d.trackHalf(), d.powers, payloadBits)
-
-	d.finish(noise, payloadBits)
-	d.rejectGhosts(d.devices)
-	return &d.res, nil
-}
-
-// DecodeFrameOracle is DecodeFrame through the single-symbol pipeline —
-// one chirp.Demodulator.Spectrum and one window scan per symbol, the
-// original per-symbol receiver. It is retained as the bit-exactness
-// oracle for the batched path: both produce identical FrameDecodes for
-// identical inputs, and the batch kernels are only allowed
-// optimizations that preserve that equality.
-func (d *Decoder) DecodeFrameOracle(sig []complex128, start int, shifts []int, payloadBits int) (*FrameDecode, error) {
-	if err := d.begin(sig, start, shifts, payloadBits); err != nil {
-		return nil, err
-	}
-	n := d.book.Params().N()
-
-	specs := d.dem.Spectra(sig, start, PreambleUpSymbols)
-	for sym, spec := range specs {
-		if d.cfg.NoiseFloor > 0 {
-			d.noisePerSym[sym] = d.cfg.NoiseFloor
-		} else {
-			d.noisePerSym[sym], d.quantBuf = noiseQuantile(d.quantBuf, spec)
-		}
-	}
-	noise := d.reduceNoise()
-	d.accumPreamble(specs, shifts, noise)
-
-	d.preparePayload(payloadBits)
-	payloadStart := start + PreambleSymbols*n
-	halfIdx := d.trackHalf()
-	for sym := 0; sym < payloadBits; sym++ {
-		spec := d.dem.Spectrum(sig[payloadStart+sym*n : payloadStart+(sym+1)*n])
-		chirp.ScanPaddedCenters(spec, d.payCenter, halfIdx, d.scanPow)
-		for i := range shifts {
-			if d.payCenter[i] >= 0 {
-				d.powers[i*payloadBits+sym] = d.scanPow[i]
-			}
-		}
-	}
 
 	d.finish(noise, payloadBits)
 	d.rejectGhosts(d.devices)

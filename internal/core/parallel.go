@@ -27,7 +27,8 @@ const (
 // (statistic accumulation, thresholds, CRC, ghost rejection) runs
 // serially in a fixed order on the embedded serial Decoder's arenas, so
 // the parallel decoder's FrameDecode is bit-identical to the serial
-// decoder's — and hence to DecodeFrameOracle's — for the same input.
+// decoder's — and hence to the single-symbol test oracle's — for the
+// same input.
 //
 // Like Decoder, a ParallelDecoder is not safe for concurrent use (it is
 // itself the concurrency), and its results alias decoder-owned storage

@@ -74,15 +74,16 @@ type Device struct {
 	// UplinkSNRdB is the backscatter SNR at the AP over the receive
 	// bandwidth at maximum tag power gain (0 dB).
 	UplinkSNRdB float64
-	// APLinks holds the per-AP link budgets from the last PlaceAPs
-	// call, parallel to Deployment.APs; nil until APs are placed. It
-	// lives on the device (not the deployment) so sub-deployments
-	// built by copying device slices keep their geometry.
+	// APLinks holds the per-AP link budgets, parallel to
+	// Deployment.APs: the floor plan's AP after Generate, the placed
+	// APs after PlaceAPs. It lives on the device (not the deployment)
+	// so sub-deployments built by copying device slices keep their
+	// geometry.
 	APLinks []APLink
 }
 
 // BestAP returns the index of the AP with the strongest uplink from
-// this device, or -1 when no APs have been placed.
+// this device, or -1 when the device has no AP links.
 func (d *Device) BestAP() int {
 	best := -1
 	for a := range d.APLinks {
@@ -114,8 +115,8 @@ type Deployment struct {
 	// BWHz is the receive bandwidth the uplink SNRs were computed over
 	// (set by Generate, reused by PlaceAPs).
 	BWHz float64
-	// APs holds the multi-AP positions from the last PlaceAPs call;
-	// empty for classic single-AP deployments (Plan.AP only).
+	// APs holds the AP positions the devices' APLinks refer to:
+	// [Plan.AP] after Generate, the placed positions after PlaceAPs.
 	APs []Point
 }
 
@@ -146,13 +147,17 @@ func (d *Deployment) bandwidth() float64 {
 // MinAPDistance from the AP) and computes their link budgets over bwHz.
 // A non-positive bwHz is replaced by DefaultBandwidthHz, so a generated
 // deployment always carries the bandwidth its SNRs were computed over —
-// PlaceAPs never has to guess it.
+// PlaceAPs never has to guess it. The plan's AP is recorded as the
+// deployment's one placed AP (APs = [Plan.AP], each device's APLinks[0]
+// its link budget), so a one-AP network runs on a generated deployment
+// without placing anything.
 func Generate(plan FloorPlan, budget radio.LinkBudget, n int, bwHz float64, rng *dsp.Rand) *Deployment {
 	if bwHz <= 0 {
 		bwHz = DefaultBandwidthHz
 	}
-	d := &Deployment{Plan: plan, Budget: budget, BWHz: bwHz}
+	d := &Deployment{Plan: plan, Budget: budget, BWHz: bwHz, APs: []Point{plan.AP}}
 	d.Devices = make([]Device, 0, n)
+	links := make([]APLink, n)
 	for len(d.Devices) < n {
 		p := Point{X: rng.Uniform(0.5, plan.Width-0.5), Y: rng.Uniform(0.5, plan.Height-0.5)}
 		dist := p.Distance(plan.AP)
@@ -160,11 +165,19 @@ func Generate(plan FloorPlan, budget radio.LinkBudget, n int, bwHz float64, rng 
 			continue
 		}
 		walls := plan.WallsBetween(p, plan.AP)
-		d.Devices = append(d.Devices, Device{
-			Pos:             p,
+		i := len(d.Devices)
+		links[i] = APLink{
+			Dist:            dist,
 			Walls:           walls,
 			DownlinkRSSIdBm: budget.DownlinkRSSIdBm(dist, walls),
 			UplinkSNRdB:     budget.UplinkSNRdB(dist, walls, 0, bwHz),
+		}
+		d.Devices = append(d.Devices, Device{
+			Pos:             p,
+			Walls:           walls,
+			DownlinkRSSIdBm: links[i].DownlinkRSSIdBm,
+			UplinkSNRdB:     links[i].UplinkSNRdB,
+			APLinks:         links[i : i+1 : i+1],
 		})
 	}
 	return d

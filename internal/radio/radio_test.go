@@ -73,6 +73,15 @@ func TestAWGNStreamMatchesNormBatchSequence(t *testing.T) {
 	}
 }
 
+// addAWGNOracle is the math/rand reference noise path: one
+// Rand.ComplexNormal draw per sample. The statistical tests pin the
+// stream engine's noise distribution against it.
+func addAWGNOracle(rng *dsp.Rand, sig []complex128, noisePower float64) {
+	for i := range sig {
+		sig[i] += rng.ComplexNormal(noisePower)
+	}
+}
+
 // TestAWGNStreamStatsMatchOracle compares the fused AWGN path's noise
 // statistics against the retained math/rand oracle at the same power:
 // matching power and per-component moments within a few standard
@@ -87,7 +96,7 @@ func TestAWGNStreamStatsMatchOracle(t *testing.T) {
 
 	rng := dsp.NewRand(5)
 	ref := make([]complex128, n)
-	AddAWGNOracle(rng, ref, power)
+	addAWGNOracle(rng, ref, power)
 
 	stats := func(v []complex128) (pwr, meanRe, meanIm float64) {
 		for _, x := range v {

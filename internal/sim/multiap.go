@@ -55,7 +55,8 @@ func (m MultiRoundStats) DiversityFramesGained() int {
 }
 
 // MultiAPNetwork is a deployed NetScatter network heard by k APs,
-// ready to run diversity rounds.
+// ready to run diversity rounds. Its round path is the simulator's one
+// round path: a single-AP Network is the k = 1 case.
 type MultiAPNetwork struct {
 	cfg      Config
 	dep      *deploy.Deployment
@@ -84,11 +85,14 @@ type MultiAPNetwork struct {
 	rc multiRoundCtx
 }
 
-// multiRoundCtx is the network's reusable round arena, the multi-AP
-// analogue of roundCtx: per-device transmissions and frame sections,
-// per-AP receive buffers, per-AP decode results and the aggregation
-// scratch — carved once at association, refilled in place each round,
-// so steady-state multi-AP rounds allocate nothing.
+// multiRoundCtx is the network's reusable round arena: per-device
+// transmissions and frame sections, per-AP receive buffers, per-AP
+// decode results and the aggregation scratch — carved once at
+// association, refilled in place each round, so steady-state rounds
+// allocate nothing. The template-pair closures (MixedTmpl +
+// MixedAddRange) are built once per device and read the device's bit
+// section on every receive; each round only rewrites the scalar channel
+// fields and the arena contents.
 type multiRoundCtx struct {
 	txs      []air.MultiTransmission
 	shifts   []int
@@ -130,9 +134,11 @@ type multiRoundCtx struct {
 // NewMultiAPNetwork associates the first maxDevices of a deployment
 // with a k-AP infrastructure. If the deployment does not already carry
 // a k-AP placement it is placed here (deploy.PlaceAPs); pre-place when
-// sharing one deployment across concurrently constructed networks.
-// Slot allocation and the association-time power rule run exactly as in
-// the single-AP network, but on each device's best-AP link — the
+// sharing one deployment across concurrently constructed networks (a
+// generated deployment already carries its plan's AP, so k = 1 places
+// nothing). Slots are assigned with the power-aware allocator
+// (strongest devices nearest the anchor bin) and each device runs its
+// association-time power rule, both on its best-AP link — the
 // infrastructure-side controller sees every AP's RSSI and anchors each
 // device to its strongest AP.
 func NewMultiAPNetwork(cfg Config, dep *deploy.Deployment, nAPs, maxDevices int, seed int64) (*MultiAPNetwork, error) {
@@ -142,17 +148,17 @@ func NewMultiAPNetwork(cfg Config, dep *deploy.Deployment, nAPs, maxDevices int,
 	if nAPs < 1 {
 		return nil, fmt.Errorf("sim: multi-AP network with %d APs", nAPs)
 	}
-	if maxDevices > len(dep.Devices) {
+	if maxDevices < 0 || maxDevices > len(dep.Devices) {
 		return nil, fmt.Errorf("sim: %d devices requested, deployment has %d", maxDevices, len(dep.Devices))
 	}
 	if len(dep.APs) != nAPs || (len(dep.Devices) > 0 && len(dep.Devices[0].APLinks) != nAPs) {
 		dep.PlaceAPs(nAPs)
 	}
-	book, err := buildCodeBook(cfg, maxDevices)
+	book, err := BuildCodeBook(cfg, maxDevices)
 	if err != nil {
 		return nil, err
 	}
-	dcfg := resolveDecoderConfig(cfg, book.Skip())
+	dcfg := ResolveDecoderConfig(cfg, book.Skip())
 	n := &MultiAPNetwork{
 		cfg:      cfg,
 		dep:      dep,
@@ -214,6 +220,7 @@ func NewMultiAPNetwork(cfg Config, dep *deploy.Deployment, nAPs, maxDevices int,
 			n.slots[i] = assign[uint8(i)]
 		}
 	} else {
+		// Arrival-order (random) assignment for the ablation.
 		perm := n.rng.Perm(book.Slots())
 		for i := 0; i < maxDevices; i++ {
 			n.slots[i] = perm[i]
@@ -301,7 +308,7 @@ func (n *MultiAPNetwork) SetSoftCombining(on bool) {
 	if !on || n.combDec != nil {
 		return
 	}
-	n.combDec = core.NewDecoder(n.book, resolveDecoderConfig(n.cfg, n.book.Skip()))
+	n.combDec = core.NewDecoder(n.book, ResolveDecoderConfig(n.cfg, n.book.Skip()))
 	payloadBits := n.cfg.PayloadBytes*8 + core.CRCBits
 	emitLen := n.combDec.EmitLen(payloadBits)
 	rc := &n.rc
@@ -319,6 +326,23 @@ func (n *MultiAPNetwork) Book() *core.CodeBook { return n.book }
 
 // APs returns the infrastructure's AP count.
 func (n *MultiAPNetwork) APs() int { return n.nAPs }
+
+// SlotOf returns the slot of device i.
+func (n *MultiAPNetwork) SlotOf(i int) int { return n.slots[i] }
+
+// GainOf returns the power gain of device i.
+func (n *MultiAPNetwork) GainOf(i int) float64 { return n.gains[i] }
+
+// EffectiveSNRs returns the post-power-control best-AP SNRs of the
+// first count devices.
+func (n *MultiAPNetwork) EffectiveSNRs(count int) []float64 {
+	out := make([]float64, count)
+	for i := range out {
+		dev := &n.dep.Devices[i]
+		out[i] = dev.APLinks[dev.BestAP()].UplinkSNRdB + n.gains[i]
+	}
+	return out
+}
 
 // RunRound executes one concurrent round heard by every AP and returns
 // the combined and per-AP statistics.
@@ -364,7 +388,7 @@ const maxBurstsPerRound = 1
 // runRound executes one round with optional fault injection. With adv
 // == nil this is exactly the historical RunRound path.
 func (n *MultiAPNetwork) runRound(nDevices int, adv *advRound) (MultiRoundStats, error) {
-	if nDevices > len(n.slots) {
+	if nDevices < 0 || nDevices > len(n.slots) {
 		return MultiRoundStats{}, fmt.Errorf("sim: round with %d devices, network has %d", nDevices, len(n.slots))
 	}
 	p := n.cfg.Params

@@ -82,7 +82,7 @@ func TestRunRoundBitIdenticalAcrossGOMAXPROCSRace(t *testing.T) {
 				t.Fatal(err)
 			}
 			stats = append(stats, s)
-			sigs = append(sigs, append([]complex128(nil), net.rc.sig...))
+			sigs = append(sigs, append([]complex128(nil), net.rc.sigs[0]...))
 		}
 		return sigs, stats
 	}

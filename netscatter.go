@@ -31,6 +31,7 @@ import (
 	"netscatter/internal/hw"
 	"netscatter/internal/mac"
 	"netscatter/internal/radio"
+	"netscatter/internal/sim"
 )
 
 // Params is the physical-layer configuration.
@@ -145,31 +146,20 @@ func NewNetwork(params Params, opts Options) (*Network, error) {
 	rng := dsp.NewRand(opts.Seed)
 	dep := deploy.Generate(plan, radio.DefaultLinkBudget, opts.Devices, params.BandwidthHz, rng)
 
-	// Spread devices across unused spectrum (effective SKIP grows when
-	// fewer devices than slots).
-	skip := params.Skip
-	if s := cp.N() / opts.Devices; s > skip {
-		skip = s
-	}
-	if max := cp.N() / 2; skip > max {
-		skip = max
-	}
-	book, err := core.NewCodeBook(cp, skip)
+	// The simulator's code-book sizing (effective SKIP grows when fewer
+	// devices than slots) and receiver defaults.
+	scfg := sim.Config{Params: cp, Skip: params.Skip}
+	book, err := sim.BuildCodeBook(scfg, opts.Devices)
 	if err != nil {
 		return nil, err
 	}
-	dcfg := core.DefaultDecoderConfig(skip)
-	if dcfg.GuardBins > 2 {
-		dcfg.GuardBins = 2
-	}
-	dcfg.NoiseFloor = float64(cp.N())
 
 	n := &Network{
 		params:  params,
 		opts:    opts,
 		cp:      cp,
 		book:    book,
-		decoder: core.NewParallelDecoder(book, dcfg, 0),
+		decoder: core.NewParallelDecoder(book, sim.ResolveDecoderConfig(scfg, book.Skip()), 0),
 		dep:     dep,
 		rng:     rng,
 	}

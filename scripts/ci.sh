@@ -64,13 +64,16 @@ echo "== fuzz seed corpus =="
 go test -count=1 -run 'Fuzz' ./internal/synth ./internal/core ./internal/sim
 
 echo "== race: concurrent paths =="
-# The rewired sim round path, the batched parallel decoder (including
-# the batch-vs-oracle bit-exactness sweep), the tiled channel path
-# (template fan-out + tile workers, with the GOMAXPROCS ∈ {1,2,4}
-# sweeps against the materializing channel oracle), the multi-AP fan-out (shared-template per-AP
-# scaling, (AP, tile) workers, per-AP decodes on one sibling decoder
-# family sharing its worker scratch — with its own GOMAXPROCS and
-# single-AP-oracle sweeps), the adversarial trajectory runner (oracle
+# The sim round path (one path, MultiAPNetwork.runRound; the one-AP
+# Network included, with networks built concurrently over one shared
+# deployment), the batched parallel decoder (including the
+# batch-vs-oracle bit-exactness sweep), the one receive engine
+# (air.MultiChannel: template fan-out — gain-folded synthesis at one AP,
+# shared-template per-AP scaling at k >= 2 — and (AP, tile) workers;
+# air.Channel is its one-AP view), with its GOMAXPROCS ∈ {1,2,4} sweeps
+# against the serial reference receiver in the air tests, per-AP
+# decodes on one sibling decoder family sharing its worker scratch, the
+# adversarial trajectory runner (oracle
 # bit-identity, churn/dropout recovery accounting, the full-adversity
 # GOMAXPROCS sweep), the soft cross-AP combining path (one emit scratch
 # filled by pool workers for each AP in turn, folded serially into the
