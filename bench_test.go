@@ -352,16 +352,6 @@ func BenchmarkSymbolSpectrum(b *testing.B) {
 	}
 }
 
-func BenchmarkEncodeFrame(b *testing.B) {
-	enc := core.NewEncoder(chirp.Default500k9, 42)
-	payload := []byte{1, 2, 3, 4, 5}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		enc.FrameWaveform(payload)
-	}
-}
-
 func BenchmarkEncodeFrameMixedAdd(b *testing.B) {
 	// The simulator's per-device transmit cost: mixed templates plus one
 	// whole-buffer range accumulate.

@@ -137,9 +137,6 @@ func NewMultiChannel(p chirp.Params, nAPs int, rng *dsp.Rand) *MultiChannel {
 	return &MultiChannel{Params: p, NoisePower: 1, Rng: rng, nAPs: nAPs}
 }
 
-// APs returns the channel's AP count.
-func (mc *MultiChannel) APs() int { return mc.nAPs }
-
 // Receive builds the k received streams of length samples each,
 // allocating the outputs. See ReceiveInto.
 func (mc *MultiChannel) Receive(length int, txs []MultiTransmission) [][]complex128 {

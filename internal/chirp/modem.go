@@ -2,7 +2,6 @@ package chirp
 
 import (
 	"fmt"
-	"slices"
 
 	"netscatter/internal/dsp"
 )
@@ -23,13 +22,6 @@ func NewModulator(p Params) *Modulator {
 	}
 	return &Modulator{p: p, up: Upchirp(p)}
 }
-
-// Params returns the modulator's parameter set.
-func (m *Modulator) Params() Params { return m.p }
-
-// NumShifts returns the number of distinct cyclic shifts (FFT bins)
-// available: Oversample·2^SF.
-func (m *Modulator) NumShifts() int { return m.p.N() }
 
 // Symbol returns a freshly allocated upchirp symbol with the given cyclic
 // shift. At critical sampling (Oversample == 1) shifts are realized as
@@ -55,17 +47,6 @@ func (m *Modulator) Symbol(shift int) []complex128 {
 	return sym
 }
 
-// DownSymbol returns the downchirp (conjugate) version of Symbol(shift).
-// NetScatter preambles end with two downchirps carrying the same cyclic
-// shift as the device's upchirps (§3.3.1).
-func (m *Modulator) DownSymbol(shift int) []complex128 {
-	sym := m.Symbol(shift)
-	for i, v := range sym {
-		sym[i] = complex(real(v), -imag(v))
-	}
-	return sym
-}
-
 // AppendSymbol appends Symbol(shift) to dst and returns the extended
 // slice, writing the rotation (or frequency mix) directly into the
 // appended region — no throwaway per-symbol slice.
@@ -79,17 +60,6 @@ func (m *Modulator) AppendSymbol(dst []complex128, shift int) []complex128 {
 	base := len(dst)
 	dst = append(dst, m.up...)
 	ApplyFreqOffset(dst[base:], float64(shift)*p.BinHz(), p.SampleRate())
-	return dst
-}
-
-// AppendSilence appends one symbol period of zeros (an OOK '0').
-func (m *Modulator) AppendSilence(dst []complex128) []complex128 {
-	n := m.p.N()
-	base := len(dst)
-	dst = slices.Grow(dst, n)[:base+n]
-	for i := base; i < len(dst); i++ {
-		dst[i] = 0
-	}
 	return dst
 }
 
@@ -150,9 +120,6 @@ func NewDemodulator(p Params, zeroPad int) *Demodulator {
 	}
 }
 
-// Params returns the demodulator's parameter set.
-func (d *Demodulator) Params() Params { return d.p }
-
 // ZeroPad returns the effective padding factor (rounded up to keep the
 // FFT size a power of two).
 func (d *Demodulator) ZeroPad() int { return d.zeroPad }
@@ -165,17 +132,6 @@ func (d *Demodulator) PaddedBins() int { return len(d.padBuf) }
 // slice aliases an internal buffer valid until the next call.
 func (d *Demodulator) Spectrum(sym []complex128) []float64 {
 	return d.spectrum(d.power, sym, d.down)
-}
-
-// SpectrumInto is Spectrum writing the power spectrum into dst, which
-// must have length PaddedBins(). It lets callers own the storage — the
-// concurrent decoder's workers compute many spectra into one shared
-// arena without copies.
-func (d *Demodulator) SpectrumInto(dst []float64, sym []complex128) {
-	if len(dst) != len(d.padBuf) {
-		panic(fmt.Sprintf("chirp: spectrum dst length %d, want %d", len(dst), len(d.padBuf)))
-	}
-	d.spectrum(dst, sym, d.down)
 }
 
 // SpectrumDown de-spreads against the baseline *upchirp* instead, which
@@ -236,34 +192,6 @@ func (d *Demodulator) BinOf(paddedIdx int) float64 {
 // padded-spectrum index.
 func (d *Demodulator) PaddedIndexOf(bin int) int {
 	return dsp.WrapIndex(bin, d.p.N()) * d.zeroPad
-}
-
-// DemodSymbol locates the strongest peak of one symbol and returns the
-// nearest integer chirp bin along with the peak power. This is the
-// classic single-transmitter LoRa demodulation (§2.1).
-func (d *Demodulator) DemodSymbol(sym []complex128) (bin int, power float64) {
-	spec := d.Spectrum(sym)
-	idx, pw := dsp.ArgmaxFloat(spec)
-	b := int(d.BinOf(idx) + 0.5)
-	return dsp.WrapIndex(b, d.p.N()), pw
-}
-
-// PeakFrac locates the strongest peak with sub-bin resolution: the padded
-// argmax refined by quadratic interpolation. Returns the fractional chirp
-// bin in [0, N) and the peak power.
-func (d *Demodulator) PeakFrac(sym []complex128) (fracBin float64, power float64) {
-	spec := d.Spectrum(sym)
-	idx, pw := dsp.ArgmaxFloat(spec)
-	frac := dsp.QuadraticInterpolate(spec, idx)
-	bins := float64(d.p.N())
-	b := d.BinOf(idx) + frac/float64(d.zeroPad)
-	for b < 0 {
-		b += bins
-	}
-	for b >= bins {
-		b -= bins
-	}
-	return b, pw
 }
 
 // PeakNear returns the maximum power in the padded spectrum within

@@ -107,12 +107,6 @@ func (p Params) FreqOffsetToBins(df float64) float64 {
 	return df * float64(p.Chips()) / p.BW
 }
 
-// BinsToFreqOffset converts a fractional bin displacement to the
-// equivalent frequency offset in Hz.
-func (p Params) BinsToFreqOffset(bins float64) float64 {
-	return bins * p.BinHz()
-}
-
 // String implements fmt.Stringer ("BW=500kHz SF=9").
 func (p Params) String() string {
 	return fmt.Sprintf("BW=%gkHz SF=%d", p.BW/1e3, p.SF)

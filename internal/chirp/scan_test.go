@@ -6,24 +6,6 @@ import (
 	"netscatter/internal/dsp"
 )
 
-// TestSpectrumIntoMatchesSpectrum pins the arena APIs to the original
-// single-shot path.
-func TestSpectrumIntoMatchesSpectrum(t *testing.T) {
-	p := Params{SF: 7, BW: 125e3, Oversample: 1}
-	dem := NewDemodulator(p, 8)
-	mod := NewModulator(p)
-	sym := mod.Symbol(33)
-
-	want := append([]float64(nil), dem.Spectrum(sym)...)
-	dst := make([]float64, dem.PaddedBins())
-	dem.SpectrumInto(dst, sym)
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("bin %d: SpectrumInto %v != Spectrum %v", i, dst[i], want[i])
-		}
-	}
-}
-
 func TestSpectraMatchesPerSymbolSpectrum(t *testing.T) {
 	p := Params{SF: 7, BW: 125e3, Oversample: 1}
 	dem := NewDemodulator(p, 4)

@@ -34,7 +34,6 @@ type CodeBook struct {
 	// shiftOf maps slot index -> cyclic shift, ordered by circular
 	// distance from bin 0 (ties broken toward the positive side).
 	shiftOf []int
-	slotOf  map[int]int
 }
 
 // NewCodeBook builds a code book for the parameter set with the given
@@ -52,7 +51,6 @@ func NewCodeBook(p chirp.Params, skip int) (*CodeBook, error) {
 	}
 	c := &CodeBook{params: p, skip: skip, slots: n / skip}
 	c.shiftOf = make([]int, 0, c.slots)
-	c.slotOf = make(map[int]int, c.slots)
 	// Zig-zag enumeration: bin 0, then alternating positive/negative
 	// multiples of SKIP, so slot index increases with circular distance
 	// from the anchor. When SKIP does not divide N the two sides meet
@@ -70,9 +68,6 @@ func NewCodeBook(p chirp.Params, skip int) (*CodeBook, error) {
 			c.shiftOf = append(c.shiftOf, neg)
 			neg -= skip
 		}
-	}
-	for slot, shift := range c.shiftOf {
-		c.slotOf[shift] = slot
 	}
 	return c, nil
 }
@@ -97,20 +92,6 @@ func (c *CodeBook) ShiftOfSlot(slot int) int {
 		panic(fmt.Sprintf("core: slot %d out of range [0,%d)", slot, c.slots))
 	}
 	return c.shiftOf[slot]
-}
-
-// SlotOfShift inverts ShiftOfSlot; ok is false if the shift is not an
-// assignable slot.
-func (c *CodeBook) SlotOfShift(shift int) (slot int, ok bool) {
-	shift = dsp.WrapIndex(shift, c.params.N())
-	slot, ok = c.slotOf[shift]
-	return slot, ok
-}
-
-// CircularBinDistance returns the FFT-bin distance between two slots'
-// shifts on the circular spectrum.
-func (c *CodeBook) CircularBinDistance(slotA, slotB int) int {
-	return dsp.CircularDistance(c.ShiftOfSlot(slotA), c.ShiftOfSlot(slotB), c.params.N())
 }
 
 // AllShifts returns the cyclic shifts of all slots in slot order. The

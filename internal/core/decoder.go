@@ -116,17 +116,6 @@ type FrameDecode struct {
 	FFTs int
 }
 
-// DetectedCount returns how many candidates were detected.
-func (f *FrameDecode) DetectedCount() int {
-	n := 0
-	for _, d := range f.Devices {
-		if d.Detected {
-			n++
-		}
-	}
-	return n
-}
-
 // Decoder decodes concurrent NetScatter transmissions. One dechirp and
 // one (zero-padded, pruned) FFT are performed per symbol; every candidate
 // device is then read off the shared spectrum. Not safe for concurrent
@@ -191,9 +180,6 @@ func NewDecoder(book *CodeBook, cfg DecoderConfig) *Decoder {
 		cfg:  cfg,
 	}
 }
-
-// Book returns the decoder's code book.
-func (d *Decoder) Book() *CodeBook { return d.book }
 
 // Demodulator exposes the underlying demodulator (for experiments that
 // inspect raw spectra).

@@ -141,7 +141,7 @@ func TestDecodeWithTimingAndFrequencyOffsets(t *testing.T) {
 		dtBins := rng.Uniform(0, 0.35)
 		dfBins := rng.Uniform(-0.1, 0.1)
 		txs = append(txs, deviceTx(enc, payloads[i],
-			rng.Uniform(4, 10), dtBins/p.BW, p.BinsToFreqOffset(dfBins)))
+			rng.Uniform(4, 10), dtBins/p.BW, dfBins*p.BinHz()))
 	}
 	ch := air.NewChannel(p, rng)
 	sig := ch.Receive(ch.FrameLength(PreambleSymbols+bitsLen, 2), txs)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"netscatter/internal/air"
@@ -28,37 +27,6 @@ type Encoder struct {
 func NewEncoder(p chirp.Params, shift int) *Encoder {
 	syn := synth.For(p)
 	return &Encoder{p: syn.Params(), syn: syn, shift: shift}
-}
-
-// Shift returns the device's assigned cyclic shift.
-func (e *Encoder) Shift() int { return e.shift }
-
-// SetShift reassigns the device's cyclic shift (the AP can reshuffle
-// assignments in its query, §3.3.3).
-func (e *Encoder) SetShift(shift int) { e.shift = shift }
-
-// Params returns the chirp parameters.
-func (e *Encoder) Params() chirp.Params { return e.p }
-
-// AppendFrame appends the full frame waveform for payload to dst:
-// 6 shifted upchirps, 2 shifted downchirps, then one shifted upchirp per
-// '1' bit and one symbol of silence per '0' bit of FrameBits(payload).
-func (e *Encoder) AppendFrame(dst []complex128, payload []byte) []complex128 {
-	return e.AppendFrameBits(dst, FrameBits(payload))
-}
-
-// AppendFrameBits is AppendFrame for a caller-supplied bit section
-// (already including any checksum). Symbols are written in place from
-// the synthesizer's bank — no per-symbol scratch slices.
-func (e *Encoder) AppendFrameBits(dst []complex128, bits []byte) []complex128 {
-	return e.syn.AppendFrame(dst, e.shift, PreambleUpSymbols, PreambleDownSymbols, bits)
-}
-
-// FrameWaveform returns AppendFrame into a fresh slice.
-func (e *Encoder) FrameWaveform(payload []byte) []complex128 {
-	n := e.p.N()
-	dst := make([]complex128, 0, n*FrameSymbols(len(payload)))
-	return e.AppendFrame(dst, payload)
 }
 
 // FrameBitsWaveformMixedTemplates synthesizes the mixed frame's
@@ -96,28 +64,4 @@ func (e *Encoder) Tx(bits []byte) air.Transmission {
 			e.FrameBitsWaveformMixedAddRange(out, lo, hi, at, tmpl, bits, frac, freqHz)
 		},
 	}
-}
-
-// OnFraction returns the fraction of payload symbols that carry energy
-// for the given bits — used by energy accounting in the simulator.
-func OnFraction(bits []byte) float64 {
-	if len(bits) == 0 {
-		return 0
-	}
-	on := 0
-	for _, b := range bits {
-		if b != 0 {
-			on++
-		}
-	}
-	return float64(on) / float64(len(bits))
-}
-
-// ValidateShiftForBook checks that a shift is assignable in the given
-// code book; used when programming devices.
-func ValidateShiftForBook(book *CodeBook, shift int) error {
-	if _, ok := book.SlotOfShift(shift); !ok {
-		return fmt.Errorf("core: shift %d is not a SKIP-%d slot", shift, book.Skip())
-	}
-	return nil
 }

@@ -10,11 +10,17 @@ import (
 	"netscatter/internal/dsp"
 )
 
+// frameWaveform materializes the encoder's whole frame for payload
+// through the synthesizer's reference frame path.
+func frameWaveform(enc *Encoder, payload []byte) []complex128 {
+	return enc.syn.AppendFrame(nil, enc.shift, PreambleUpSymbols, PreambleDownSymbols, FrameBits(payload))
+}
+
 func TestFrameWaveformLayout(t *testing.T) {
 	p := testParams
 	enc := NewEncoder(p, 12)
 	payload := []byte{0xF0} // bits 11110000 + CRC
-	w := enc.FrameWaveform(payload)
+	w := frameWaveform(enc, payload)
 	n := p.N()
 	if len(w) != FrameSymbols(1)*n {
 		t.Fatalf("waveform length %d", len(w))
@@ -22,12 +28,12 @@ func TestFrameWaveformLayout(t *testing.T) {
 	bits := FrameBits(payload)
 	for i, b := range bits {
 		seg := w[(PreambleSymbols+i)*n : (PreambleSymbols+i+1)*n]
-		energy := dsp.SignalEnergy(seg)
-		if b == 1 && energy < float64(n)/2 {
-			t.Fatalf("bit %d ('1') has energy %v", i, energy)
+		power := dsp.SignalPower(seg)
+		if b == 1 && power < 0.5 {
+			t.Fatalf("bit %d ('1') has power %v", i, power)
 		}
-		if b == 0 && energy != 0 {
-			t.Fatalf("bit %d ('0') has energy %v", i, energy)
+		if b == 0 && power != 0 {
+			t.Fatalf("bit %d ('0') has power %v", i, power)
 		}
 	}
 }
@@ -36,23 +42,22 @@ func TestFrameWaveformPreambleStructure(t *testing.T) {
 	p := testParams
 	shift := 44
 	enc := NewEncoder(p, shift)
-	w := enc.FrameWaveform([]byte{0x00})
+	w := frameWaveform(enc, []byte{0x00})
 	n := p.N()
 	dem := chirp.NewDemodulator(p, 8)
 	// Six upchirps at the assigned shift...
 	for sym := 0; sym < PreambleUpSymbols; sym++ {
-		frac, _ := dem.PeakFrac(w[sym*n : (sym+1)*n])
-		if math.Abs(frac-float64(shift)) > 0.1 {
+		idx, _ := dsp.ArgmaxFloat(dem.Spectrum(w[sym*n : (sym+1)*n]))
+		if frac := dem.BinOf(idx); math.Abs(frac-float64(shift)) > 0.1 {
 			t.Fatalf("preamble up %d peak at %v", sym, frac)
 		}
 	}
 	// ...then two downchirps carrying the same shift (§3.3.1).
-	mod := chirp.NewModulator(p)
-	want := mod.DownSymbol(shift)
+	want := chirp.NewModulator(p).Symbol(shift)
 	for sym := PreambleUpSymbols; sym < PreambleSymbols; sym++ {
 		seg := w[sym*n : (sym+1)*n]
 		for i := range want {
-			if cmplx.Abs(seg[i]-want[i]) > 1e-9 {
+			if cmplx.Abs(seg[i]-cmplx.Conj(want[i])) > 1e-9 {
 				t.Fatalf("preamble down symbol %d differs at %d", sym, i)
 			}
 		}
@@ -63,7 +68,7 @@ func TestFrameWaveformDelayedMatchesUndelayedAtZero(t *testing.T) {
 	p := testParams
 	enc := NewEncoder(p, 3)
 	payload := []byte{0xAB, 0xCD}
-	a := enc.FrameWaveform(payload)
+	a := frameWaveform(enc, payload)
 	b := enc.syn.FrameDelayedInto(nil, enc.shift, PreambleUpSymbols, PreambleDownSymbols, FrameBits(payload), 0)
 	if len(b) != len(a) {
 		t.Fatalf("lengths differ: %d vs %d", len(b), len(a))
@@ -96,30 +101,6 @@ func TestFrameWaveformDelayedSampleRelation(t *testing.T) {
 	want := chirp.EvalShifted(p, 30, float64(n)-frac)
 	if cmplx.Abs(w[n]-want) > 1e-9 {
 		t.Fatalf("boundary sample: %v != %v", w[n], want)
-	}
-}
-
-func TestEncoderSetShift(t *testing.T) {
-	enc := NewEncoder(testParams, 2)
-	enc.SetShift(8)
-	if enc.Shift() != 8 {
-		t.Fatal("SetShift failed")
-	}
-	dem := chirp.NewDemodulator(testParams, 1)
-	w := enc.FrameWaveform([]byte{0})
-	bin, _ := dem.DemodSymbol(w[:testParams.N()])
-	if bin != 8 {
-		t.Fatalf("reprogrammed shift decodes to %d", bin)
-	}
-}
-
-func TestValidateShiftForBook(t *testing.T) {
-	book, _ := NewCodeBook(testParams, 2)
-	if err := ValidateShiftForBook(book, 4); err != nil {
-		t.Errorf("valid shift rejected: %v", err)
-	}
-	if err := ValidateShiftForBook(book, 5); err == nil {
-		t.Error("odd shift accepted with SKIP=2")
 	}
 }
 

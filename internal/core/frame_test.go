@@ -6,27 +6,14 @@ import (
 	"testing/quick"
 )
 
-func TestBytesBitsRoundTrip(t *testing.T) {
-	f := func(data []byte) bool {
-		bits := BytesToBits(data)
-		if len(bits) != len(data)*8 {
-			return false
-		}
-		return bytes.Equal(BitsToBytes(bits), data)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFrameBitsRoundTrip(t *testing.T) {
 	f := func(payload []byte) bool {
 		bits := FrameBits(payload)
 		if len(bits) != len(payload)*8+CRCBits {
 			return false
 		}
-		got, ok := CheckFrameBits(bits)
-		return ok && bytes.Equal(got, payload)
+		got := make([]byte, len(payload))
+		return CheckFrameBitsInto(got, bits) && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -38,7 +25,7 @@ func TestFrameBitsDetectsCorruption(t *testing.T) {
 	bits := FrameBits(payload)
 	for i := range bits {
 		bits[i] ^= 1
-		if _, ok := CheckFrameBits(bits); ok {
+		if CheckFrameBitsInto(make([]byte, len(payload)), bits) {
 			t.Fatalf("bit flip at %d not detected", i)
 		}
 		bits[i] ^= 1
@@ -46,13 +33,13 @@ func TestFrameBitsDetectsCorruption(t *testing.T) {
 }
 
 func TestCheckFrameBitsRejectsBadLengths(t *testing.T) {
-	if _, ok := CheckFrameBits(nil); ok {
+	if CheckFrameBitsInto(nil, nil) {
 		t.Error("nil bits accepted")
 	}
-	if _, ok := CheckFrameBits(make([]byte, 7)); ok {
+	if CheckFrameBitsInto(nil, make([]byte, 7)) {
 		t.Error("too-short bits accepted")
 	}
-	if _, ok := CheckFrameBits(make([]byte, 13)); ok {
+	if CheckFrameBitsInto(nil, make([]byte, 13)) {
 		t.Error("non-byte-aligned payload accepted")
 	}
 }
@@ -67,17 +54,9 @@ func TestFrameSymbols(t *testing.T) {
 
 func TestCRC8KnownValue(t *testing.T) {
 	// CRC-8/ATM of "123456789" is 0xF4.
-	bits := BytesToBits([]byte("123456789"))
+	data := []byte("123456789")
+	bits := FrameBits(data)[:8*len(data)]
 	if got := crc8(bits); got != 0xF4 {
 		t.Fatalf("crc8(123456789) = %#x, want 0xF4", got)
-	}
-}
-
-func TestOnFraction(t *testing.T) {
-	if got := OnFraction([]byte{1, 0, 1, 0}); got != 0.5 {
-		t.Fatalf("OnFraction = %v, want 0.5", got)
-	}
-	if got := OnFraction(nil); got != 0 {
-		t.Fatalf("OnFraction(nil) = %v, want 0", got)
 	}
 }

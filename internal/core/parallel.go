@@ -181,9 +181,6 @@ func (pd *ParallelDecoder) worker(w int) *decodeWorker {
 // while holding results).
 func (pd *ParallelDecoder) Serial() *Decoder { return pd.dec }
 
-// Book returns the decoder's code book.
-func (pd *ParallelDecoder) Book() *CodeBook { return pd.dec.Book() }
-
 // Workers returns the worker count.
 func (pd *ParallelDecoder) Workers() int { return len(pd.workers) }
 

@@ -86,7 +86,7 @@ func TestMidpointOffsetsResolvesInjectedOffsets(t *testing.T) {
 		ch := air.NewChannel(p, rng)
 		ch.NoisePower = 0.01 // near-clean for estimator accuracy checks
 		sig := ch.Receive((PreambleSymbols+len(bits)+2)*n, []air.Transmission{
-			deviceTx(enc, payload, 15, tc.dtBins/p.BW, p.BinsToFreqOffset(tc.dfBins)),
+			deviceTx(enc, payload, 15, tc.dtBins/p.BW, tc.dfBins*p.BinHz()),
 		})
 		up, down := dec.PreamblePeaks(sig, 0)
 		dtSamples, dfBins := MidpointOffsets(up, down, tc.shift, n)

@@ -95,7 +95,7 @@ func FuzzDecoderRoundTrip(f *testing.F) {
 		tx := NewEncoder(p, shift).Tx(bits)
 		tx.SNRdB = snr
 		tx.DelaySec = frac / p.BW
-		tx.FreqOffsetHz = p.BinsToFreqOffset(dfBins)
+		tx.FreqOffsetHz = dfBins * p.BinHz()
 		ch := air.NewChannel(p, dsp.NewRand(seed))
 		sig := ch.Receive(ch.FrameLength(PreambleSymbols+len(bits), 2), []air.Transmission{tx})
 		dec := NewDecoder(book, DefaultDecoderConfig(2))

@@ -91,8 +91,8 @@ func TestDeviceDownlinkAboveEnvelopeSensitivity(t *testing.T) {
 
 func TestRoomsCount(t *testing.T) {
 	// The paper's floor has "more than ten rooms".
-	if DefaultOffice.Rooms() <= 10 {
-		t.Fatalf("rooms = %d", DefaultOffice.Rooms())
+	if rooms := DefaultOffice.RoomsX * DefaultOffice.RoomsY; rooms <= 10 {
+		t.Fatalf("rooms = %d", rooms)
 	}
 }
 

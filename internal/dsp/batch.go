@@ -118,9 +118,6 @@ func NewBatchPlan(n, nonzero int) *BatchPlan {
 // Size returns the transform size.
 func (bp *BatchPlan) Size() int { return bp.n }
 
-// Nonzero returns the planned nonzero prefix length.
-func (bp *BatchPlan) Nonzero() int { return bp.nonzero }
-
 // Forward computes the in-place pruned forward DFT of the planar signal
 // (re, im), both of length Size(). Only the first Nonzero() entries are
 // read as input; the tail is treated as zero regardless of its contents

@@ -64,7 +64,8 @@ func TestFFTInverseRoundTrip(t *testing.T) {
 		for i := range x {
 			x[i] = rng.ComplexNormal(1)
 		}
-		y := IFFT(FFT(x))
+		y := FFT(x)
+		Plan(n).Inverse(y)
 		for i := range x {
 			if cmplx.Abs(y[i]-x[i]) > 1e-9 {
 				t.Fatalf("n=%d sample %d: %v != %v", n, i, y[i], x[i])
@@ -80,8 +81,8 @@ func TestFFTParseval(t *testing.T) {
 	for i := range x {
 		x[i] = rng.ComplexNormal(1)
 	}
-	tx := SignalEnergy(x)
-	fx := SignalEnergy(FFT(x)) / float64(len(x))
+	tx := SignalPower(x)
+	fx := SignalPower(FFT(x)) / float64(len(x))
 	if math.Abs(tx-fx)/tx > 1e-10 {
 		t.Fatalf("Parseval violated: %v vs %v", tx, fx)
 	}
@@ -129,14 +130,6 @@ func TestFFTPanicsOnBadSize(t *testing.T) {
 	NewFFT(100)
 }
 
-func TestZeroPad(t *testing.T) {
-	x := []complex128{1, 2, 3}
-	y := ZeroPad(x, 8)
-	if len(y) != 8 || y[0] != 1 || y[2] != 3 || y[3] != 0 || y[7] != 0 {
-		t.Fatalf("ZeroPad = %v", y)
-	}
-}
-
 func TestFractionalDelayTonePhase(t *testing.T) {
 	// A delayed pure tone acquires phase -2πf·d; check mid-signal
 	// samples (edges carry interpolation transients).
@@ -162,36 +155,6 @@ func TestFractionalDelayZero(t *testing.T) {
 	for i := range x {
 		if y[i] != x[i] {
 			t.Fatalf("zero delay modified signal")
-		}
-	}
-}
-
-func TestDBConversions(t *testing.T) {
-	if got := DB(100); math.Abs(got-20) > 1e-12 {
-		t.Errorf("DB(100) = %v", got)
-	}
-	if got := FromDB(30); math.Abs(got-1000) > 1e-9 {
-		t.Errorf("FromDB(30) = %v", got)
-	}
-	if got := AmpDB(10); math.Abs(got-20) > 1e-12 {
-		t.Errorf("AmpDB(10) = %v", got)
-	}
-	f := func(db float64) bool {
-		db = math.Mod(db, 100)
-		return math.Abs(DB(FromDB(db))-db) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSinc(t *testing.T) {
-	if Sinc(0) != 1 {
-		t.Error("Sinc(0) != 1")
-	}
-	for k := 1; k < 5; k++ {
-		if math.Abs(Sinc(float64(k))) > 1e-12 {
-			t.Errorf("Sinc(%d) = %v, want 0", k, Sinc(float64(k)))
 		}
 	}
 }
@@ -268,12 +231,6 @@ func TestStats(t *testing.T) {
 	if got := Mean(xs); got != 5 {
 		t.Errorf("Mean = %v", got)
 	}
-	if got := Variance(xs); got != 4 {
-		t.Errorf("Variance = %v", got)
-	}
-	if got := StdDev(xs); got != 2 {
-		t.Errorf("StdDev = %v", got)
-	}
 	min, max := MinMax(xs)
 	if min != 2 || max != 9 {
 		t.Errorf("MinMax = %v,%v", min, max)
@@ -342,21 +299,6 @@ func TestPeakSearch(t *testing.T) {
 	if idx != 6 {
 		t.Fatalf("circular MaxInWindow = %d, want 6", idx)
 	}
-	peaks := FindPeaksAbove(power, 4)
-	if len(peaks) != 3 {
-		t.Fatalf("peaks = %v", peaks)
-	}
-}
-
-func TestQuadraticInterpolate(t *testing.T) {
-	// Symmetric neighborhood -> no offset; tilted -> offset toward the
-	// larger side.
-	if got := QuadraticInterpolate([]float64{2, 10, 2}, 1); got != 0 {
-		t.Errorf("symmetric offset = %v", got)
-	}
-	if got := QuadraticInterpolate([]float64{2, 10, 5}, 1); got <= 0 {
-		t.Errorf("offset should lean right, got %v", got)
-	}
 }
 
 func TestWelchPSDTone(t *testing.T) {
@@ -380,17 +322,6 @@ func TestFFTShiftAndFreqAxis(t *testing.T) {
 		if sh[i] != want[i] {
 			t.Fatalf("FFTShift = %v", sh)
 		}
-	}
-	axis := FreqAxis(4, 8)
-	if axis[0] != -4 || axis[2] != 0 {
-		t.Fatalf("FreqAxis = %v", axis)
-	}
-}
-
-func TestLinspace(t *testing.T) {
-	xs := Linspace(0, 1, 5)
-	if len(xs) != 5 || xs[0] != 0 || xs[4] != 1 || xs[2] != 0.5 {
-		t.Fatalf("Linspace = %v", xs)
 	}
 }
 

@@ -92,12 +92,6 @@ func (st *Stream) Float64() float64 {
 	return float64(st.Uint64()>>11) * 0x1p-53
 }
 
-// float64Open returns a uniform draw from (0, 1) — never exactly 0 —
-// for the logarithms of the ziggurat tail.
-func (st *Stream) float64Open() float64 {
-	return (float64(st.Uint64()>>11) + 0.5) * 0x1p-53
-}
-
 // Ziggurat tables for the standard normal (Marsaglia & Tsang layout,
 // zigLayers rectangles). Layer magnitudes are compared as 52-bit
 // integers so the fast path is one table lookup, one compare and one
@@ -190,9 +184,10 @@ func (s *zigSource) next() uint64 {
 	return s.st.Uint64()
 }
 
-// float64 and float64Open mirror Stream.Float64/float64Open word for
-// word and expression for expression, so slow-path draws through a
-// buffered source are bit-identical to the struct methods.
+// float64 mirrors Stream.Float64 word for word and expression for
+// expression, so slow-path draws through a buffered source are
+// bit-identical to the struct method. float64Open is the same draw
+// moved into (0, 1) — never exactly 0 — for the tail's logarithms.
 func (s *zigSource) float64() float64     { return float64(s.next()>>11) * 0x1p-53 }
 func (s *zigSource) float64Open() float64 { return (float64(s.next()>>11) + 0.5) * 0x1p-53 }
 

@@ -60,9 +60,6 @@ func (d *Device) NetworkID() uint8 { return d.networkID }
 // Slot returns the assigned slot (valid once associated).
 func (d *Device) Slot() int { return d.slot }
 
-// PowerController exposes the device's power-adaptation state.
-func (d *Device) PowerController() *PowerController { return d.pc }
-
 // OnQuery reacts to one decoded AP query heard at the given envelope-
 // detector RSSI and returns the transmission decision for this round.
 func (d *Device) OnQuery(q *Query, rssiDBm float64) Action {

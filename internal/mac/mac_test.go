@@ -24,6 +24,32 @@ func testBook(t *testing.T) *core.CodeBook {
 
 // --- query codec ---
 
+// capacity returns how many devices a can hold.
+func capacity(a *Allocator) int { return a.book.Slots() - len(a.reserved) }
+
+// slotSNRs returns the (slot, snr) pairs of a's assigned devices in
+// slot order.
+func slotSNRs(a *Allocator) (slots []int, snrs []float64) {
+	for s := 0; s < a.book.Slots(); s++ {
+		if id, ok := a.bySlot[s]; ok {
+			slots = append(slots, s)
+			snrs = append(snrs, a.snrOf[id])
+		}
+	}
+	return slots, snrs
+}
+
+// reshuffle re-packs every device's slot by current signal strength
+// and schedules the full permutation for the next query, as an
+// association that does not fit does.
+func reshuffle(ap *AP) {
+	ids, snrs := ap.allIDsSNRs()
+	for devID, s := range ap.alloc.AssignAll(ids, snrs) {
+		ap.records[devID].Slot = s
+	}
+	ap.shuffled = true
+}
+
 func TestQueryRoundTripMinimal(t *testing.T) {
 	q := &Query{GroupID: 3}
 	got, err := DecodeBits(q.EncodeBits())
@@ -93,7 +119,7 @@ func TestQueryConfigSizes(t *testing.T) {
 		t.Fatalf("config-2 query = %d bits, want ~1760", got)
 	}
 	// On-air duration at 160 kbps ~ 11 ms (§3.3.3).
-	if d := q2.Duration(radio.DefaultASK); d < 0.010 || d > 0.012 {
+	if d := radio.DefaultASK.Duration(q2.BitLength()); d < 0.010 || d > 0.012 {
 		t.Fatalf("config-2 duration = %v", d)
 	}
 }
@@ -162,9 +188,9 @@ func TestAssignAllSortsBySNR(t *testing.T) {
 		t.Fatalf("assigned %d of %d", len(assign), n)
 	}
 	// Slot order must follow SNR order: lower slot -> higher SNR.
-	slots, slotSNRs := a.SlotSNRs()
-	for i := 1; i < len(slotSNRs); i++ {
-		if slotSNRs[i] > slotSNRs[i-1]+1e-9 {
+	slots, bySlot := slotSNRs(a)
+	for i := 1; i < len(bySlot); i++ {
+		if bySlot[i] > bySlot[i-1]+1e-9 {
 			t.Fatalf("SNR increases from slot %d to %d", slots[i-1], slots[i])
 		}
 	}
@@ -194,7 +220,7 @@ func TestAllocatorInsertFitsSimilarSNR(t *testing.T) {
 	if !ok || needShuffle {
 		t.Fatalf("insert: slot=%d shuffle=%v ok=%v", slot, needShuffle, ok)
 	}
-	if _, taken := a.SlotOf(9); !taken {
+	if _, taken := a.slotOf[9]; !taken {
 		t.Fatal("device not recorded")
 	}
 }
@@ -203,7 +229,7 @@ func TestAllocatorInsertRequestsShuffle(t *testing.T) {
 	book, _ := core.NewCodeBook(chirp.Params{SF: 6, BW: 125e3, Oversample: 1}, 2)
 	a := NewAllocator(book)
 	// Fill most slots with high-SNR devices.
-	n := a.Capacity()
+	n := capacity(a)
 	ids := make([]uint8, n-1)
 	snrs := make([]float64, n-1)
 	for i := range ids {
@@ -226,9 +252,9 @@ func TestAllocatorRemoveFreesSlot(t *testing.T) {
 	book := testBook(t)
 	a := NewAllocator(book)
 	a.AssignAll([]uint8{1}, []float64{10})
-	slot, _ := a.SlotOf(1)
+	slot := a.slotOf[1]
 	a.Remove(1)
-	if _, still := a.SlotOf(1); still {
+	if _, still := a.slotOf[1]; still {
 		t.Fatal("device still assigned")
 	}
 	got, needShuffle, ok := a.Insert(2, 10)
@@ -340,7 +366,7 @@ func TestAssociationFlow(t *testing.T) {
 	if ap.Devices() != 1 {
 		t.Fatalf("AP device count %d", ap.Devices())
 	}
-	if ap.PendingAssignment() != nil {
+	if ap.pending != nil {
 		t.Fatal("pending assignment not cleared after ACK")
 	}
 
@@ -379,19 +405,6 @@ func TestAssociationOneAtATime(t *testing.T) {
 	}
 }
 
-func TestActiveShiftsIncludesAssociation(t *testing.T) {
-	book := testBook(t)
-	ap := NewAP(book)
-	shifts, ids := ap.ActiveShifts()
-	if len(ids) != 0 {
-		t.Fatalf("ids = %v", ids)
-	}
-	// Always listening on the two association shifts.
-	if len(shifts) != 2 {
-		t.Fatalf("shifts = %v", shifts)
-	}
-}
-
 func TestShuffleUpdatesDeviceSlots(t *testing.T) {
 	book := testBook(t)
 	ap := NewAP(book)
@@ -414,7 +427,7 @@ func TestShuffleUpdatesDeviceSlots(t *testing.T) {
 	}
 	// Force a shuffle and deliver it; devices must land on the AP's
 	// view of their slots.
-	ap.Reshuffle()
+	reshuffle(ap)
 	q := ap.NextQuery()
 	if q.Shuffle == nil {
 		t.Fatal("shuffle missing")
@@ -491,8 +504,8 @@ func TestNormalizePerm(t *testing.T) {
 func TestDataOnlyAllocatorFullCapacity(t *testing.T) {
 	book := testBook(t)
 	a := NewDataOnlyAllocator(book)
-	if a.Capacity() != 256 {
-		t.Fatalf("data-only capacity = %d, want 256", a.Capacity())
+	if got := capacity(a); got != 256 {
+		t.Fatalf("data-only capacity = %d, want 256", got)
 	}
 	n := 256
 	ids := make([]uint8, n)

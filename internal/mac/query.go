@@ -8,7 +8,6 @@ import (
 	"math/big"
 
 	"netscatter/internal/core"
-	"netscatter/internal/radio"
 )
 
 // Assignment is the optional association response piggybacked on a
@@ -71,8 +70,8 @@ func (q *Query) EncodeBits() []byte {
 
 // DecodeBits parses a query from bits produced by EncodeBits.
 func DecodeBits(bits []byte) (*Query, error) {
-	data, ok := core.CheckFrameBits(bits)
-	if !ok {
+	data := make([]byte, max(len(bits)-core.CRCBits, 0)/8)
+	if !core.CheckFrameBitsInto(data, bits) {
 		return nil, fmt.Errorf("mac: query CRC mismatch")
 	}
 	if len(data) < 3 {
@@ -112,11 +111,6 @@ func DecodeBits(bits []byte) (*Query, error) {
 
 // BitLength returns the on-air length of the encoded query in bits.
 func (q *Query) BitLength() int { return len(q.EncodeBits()) }
-
-// Duration returns the query's on-air time over the given ASK downlink.
-func (q *Query) Duration(modem radio.ASKModem) float64 {
-	return modem.Duration(q.BitLength())
-}
 
 // EncodePermutation packs a permutation of 0..n-1 into its Lehmer-code
 // index, the densest possible encoding: ceil(log2(n!)) bits (1684 for

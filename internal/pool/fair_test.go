@@ -10,6 +10,16 @@ import (
 // TestFairSerialization: at most one job of a given tenant runs at a
 // time, and a tenant's jobs run in submission order, at any worker
 // count.
+// queueLen reports the tenant's queued (not yet started) job count.
+func queueLen(s *FairScheduler, tenant int64) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if q := s.queues[tenant]; q != nil {
+		return q.n
+	}
+	return 0
+}
+
 func TestFairSerialization(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		s := NewFairScheduler(workers, 64)
@@ -136,8 +146,8 @@ func TestFairBacklog(t *testing.T) {
 	if err := s.Submit(0, func() {}); err != ErrBacklog {
 		t.Fatalf("overflow submit: got %v, want ErrBacklog", err)
 	}
-	if got := s.QueueLen(0); got != 2 {
-		t.Fatalf("QueueLen(0) = %d, want 2", got)
+	if got := queueLen(s, 0); got != 2 {
+		t.Fatalf("queueLen(0) = %d, want 2", got)
 	}
 	// A different tenant still has room.
 	done := make(chan struct{})
@@ -170,8 +180,8 @@ func TestFairDrop(t *testing.T) {
 		}
 	}
 	s.Drop(7)
-	if got := s.QueueLen(7); got != 0 {
-		t.Fatalf("QueueLen after Drop = %d, want 0", got)
+	if got := queueLen(s, 7); got != 0 {
+		t.Fatalf("queueLen after Drop = %d, want 0", got)
 	}
 	close(gate)
 
@@ -237,7 +247,7 @@ func TestFairSchedulerRace(t *testing.T) {
 				if i%17 == 0 {
 					s.Drop(k)
 				}
-				_ = s.QueueLen(k)
+				_ = queueLen(s, k)
 				_ = s.Queued()
 			}
 		}()

@@ -1,10 +1,6 @@
 package radio
 
-import (
-	"fmt"
-
-	"netscatter/internal/dsp"
-)
+import "fmt"
 
 // ASKModem implements the AP's amplitude-shift-keyed downlink. The paper
 // uses a 160 kbps ASK query that doubles as the timing reference for all
@@ -56,9 +52,12 @@ func (m ASKModem) Modulate(bits []byte) []complex128 {
 	return out
 }
 
-// Demodulate recovers nBits bits from the received envelope using a
-// per-message adaptive threshold (midpoint between the min and max bit
-// energies), matching what a comparator after an envelope detector does.
+// Demodulate recovers nBits bits from the received envelope (on the
+// unit-carrier scale Modulate produces) by comparing each bit's mean
+// energy against the midpoint of the known ON and OFF levels, 1 and
+// (1-Depth)², as a comparator after an envelope detector does. The
+// threshold does not depend on the message, so constant bit trains (all
+// ones or all zeros) decode too.
 func (m ASKModem) Demodulate(sig []complex128, nBits int) ([]byte, error) {
 	spb := m.SamplesPerBit()
 	if len(sig) < nBits*spb {
@@ -73,8 +72,8 @@ func (m ASKModem) Demodulate(sig []complex128, nBits int) ([]byte, error) {
 		}
 		levels[i] = e / float64(spb)
 	}
-	min, max := dsp.MinMax(levels)
-	thresh := (min + max) / 2
+	off := (1 - m.Depth) * (1 - m.Depth)
+	thresh := (1 + off) / 2
 	bits := make([]byte, nBits)
 	for i, l := range levels {
 		if l > thresh {

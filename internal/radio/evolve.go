@@ -155,6 +155,3 @@ func (w *CFOWalk) Step() float64 {
 	}
 	return w.offset
 }
-
-// OffsetHz returns the current accumulated offset without advancing.
-func (w *CFOWalk) OffsetHz() float64 { return w.offset }

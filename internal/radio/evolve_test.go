@@ -144,7 +144,4 @@ func TestCFOWalk(t *testing.T) {
 	if !moved {
 		t.Fatalf("walk never left ±1 Hz — drift not accumulating")
 	}
-	if a.OffsetHz() != b.OffsetHz() {
-		t.Fatalf("OffsetHz mismatch")
-	}
 }

@@ -30,12 +30,6 @@ func AddAWGN(st *dsp.Stream, sig []complex128, noisePower float64) {
 	}
 }
 
-// AddUnitNoise adds unit-power complex noise, the normalization used
-// throughout the simulator.
-func AddUnitNoise(st *dsp.Stream, sig []complex128) {
-	AddAWGN(st, sig, 1)
-}
-
 // Superpose adds src (starting at sample offset) into dst, clipping src
 // to dst's bounds. It returns the number of samples written. This is how
 // concurrent backscatter transmissions combine at the AP antenna.
@@ -67,10 +61,4 @@ func clipRange(dstLen, srcLen, offset int) (lo, hi int) {
 		hi = dstLen - offset
 	}
 	return lo, hi
-}
-
-// MeasureSNRdB estimates the SNR of a signal of known power against unit
-// noise; provided for tests.
-func MeasureSNRdB(signalPower float64) float64 {
-	return LinearToDB(signalPower)
 }

@@ -1,6 +1,6 @@
 // Package radio provides the RF-level substrate for the NetScatter
 // simulation: unit conversions, thermal noise, path loss and link
-// budgets, Rayleigh fading, Doppler, multipath, oscillator imperfection
+// budgets, Rayleigh fading, Doppler, oscillator imperfection
 // models, and the AP's ASK downlink with the tag-side envelope detector.
 //
 // The simulator works in normalized complex baseband: thermal noise has
@@ -10,16 +10,6 @@
 package radio
 
 import "math"
-
-// DBmToWatts converts dBm to watts.
-func DBmToWatts(dbm float64) float64 {
-	return math.Pow(10, (dbm-30)/10)
-}
-
-// WattsToDBm converts watts to dBm.
-func WattsToDBm(w float64) float64 {
-	return 10*math.Log10(w) + 30
-}
 
 // DBToLinear converts a dB power ratio to linear.
 func DBToLinear(db float64) float64 { return math.Pow(10, db/10) }

@@ -62,7 +62,9 @@ func TestAssociationOverTheAir(t *testing.T) {
 		{shift: a2.Shift, payload: assocPayload, snr: -4 + a2.GainDB},
 	}, bits)
 
-	shifts, _ := ap.ActiveShifts() // dev1's shift + both assoc shifts
+	// dev1's shift + both assoc shifts
+	hi, lo := book.AssociationSlots()
+	shifts := []int{book.ShiftOfSlot(dev1.Slot()), book.ShiftOfSlot(hi), book.ShiftOfSlot(lo)}
 	res, err := dec.DecodeFrame(rx, 0, shifts, bits)
 	if err != nil {
 		t.Fatal(err)

@@ -324,25 +324,11 @@ func (n *MultiAPNetwork) SoftCombining() bool { return n.soft }
 // Book exposes the code book.
 func (n *MultiAPNetwork) Book() *core.CodeBook { return n.book }
 
-// APs returns the infrastructure's AP count.
-func (n *MultiAPNetwork) APs() int { return n.nAPs }
-
 // SlotOf returns the slot of device i.
 func (n *MultiAPNetwork) SlotOf(i int) int { return n.slots[i] }
 
 // GainOf returns the power gain of device i.
 func (n *MultiAPNetwork) GainOf(i int) float64 { return n.gains[i] }
-
-// EffectiveSNRs returns the post-power-control best-AP SNRs of the
-// first count devices.
-func (n *MultiAPNetwork) EffectiveSNRs(count int) []float64 {
-	out := make([]float64, count)
-	for i := range out {
-		dev := &n.dep.Devices[i]
-		out[i] = dev.APLinks[dev.BestAP()].UplinkSNRdB + n.gains[i]
-	}
-	return out
-}
 
 // RunRound executes one concurrent round heard by every AP and returns
 // the combined and per-AP statistics.

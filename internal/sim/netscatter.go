@@ -3,7 +3,6 @@ package sim
 import (
 	"bytes"
 	"fmt"
-	"sort"
 
 	"netscatter/internal/chirp"
 	"netscatter/internal/core"
@@ -203,12 +202,4 @@ func tallyDevice(stats *RoundStats, dev *core.DeviceDecode, wantBits []byte, wan
 	if dev.CRCOK && bytes.Equal(dev.Payload, wantPayload) {
 		stats.FramesOK++
 	}
-}
-
-// SortDeploymentBySNR reorders a deployment's devices by descending
-// uplink SNR; useful for experiments that pick "the strongest k".
-func SortDeploymentBySNR(dep *deploy.Deployment) {
-	sort.SliceStable(dep.Devices, func(i, j int) bool {
-		return dep.Devices[i].UplinkSNRdB > dep.Devices[j].UplinkSNRdB
-	})
 }

@@ -34,7 +34,7 @@ func TestAccumulatorSerialOracle(t *testing.T) {
 	var a Accumulator
 	var want Snapshot
 	for _, r := range rounds {
-		a.AddRound(r)
+		a.AddMulti(MultiRoundStats{Combined: r}, false)
 		want.Rounds++
 		if r.Devices > 0 && r.FramesOK == 0 {
 			want.AllLostRounds++
@@ -64,7 +64,7 @@ func TestAccumulatorConcurrent(t *testing.T) {
 	rounds := statsFixture(400)
 	var serial Accumulator
 	for _, r := range rounds {
-		serial.AddRound(r)
+		serial.AddMulti(MultiRoundStats{Combined: r}, false)
 	}
 	want := serial.Snapshot()
 
@@ -77,7 +77,7 @@ func TestAccumulatorConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := w; i < len(rounds); i += workers {
-				a.AddRound(rounds[i])
+				a.AddMulti(MultiRoundStats{Combined: rounds[i]}, false)
 				if i%13 == 0 {
 					// Interleaved snapshots must always be internally
 					// consistent: counters never exceed the full fold.
@@ -120,8 +120,8 @@ func TestAccumulatorAddAllocs(t *testing.T) {
 	var a Accumulator
 	r := statsFixture(1)[0]
 	m := MultiRoundStats{Combined: r, Soft: r}
-	if n := testing.AllocsPerRun(100, func() { a.AddRound(r) }); n != 0 {
-		t.Fatalf("AddRound allocates %v/op", n)
+	if n := testing.AllocsPerRun(100, func() { a.AddMulti(MultiRoundStats{Combined: r}, false) }); n != 0 {
+		t.Fatalf("single-AP AddMulti allocates %v/op", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { a.AddMulti(m, true) }); n != 0 {
 		t.Fatalf("AddMulti allocates %v/op", n)
@@ -133,7 +133,7 @@ func TestAccumulatorAddAllocs(t *testing.T) {
 func TestSnapshotJSON(t *testing.T) {
 	var a Accumulator
 	for _, r := range statsFixture(50) {
-		a.AddRound(r)
+		a.AddMulti(MultiRoundStats{Combined: r}, false)
 	}
 	s := a.Snapshot()
 	data, err := json.Marshal(s)

@@ -55,6 +55,12 @@ echo "== cross-build: arm64 =="
 # catches a missing or mismatched stub.
 GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/dsp
 
+echo "== deadcode (report) =="
+# Lists every internal/ function no cmd, example or nsbench binary
+# links on amd64 or arm64. A report, not a gate: it fails only when a
+# build fails. docs/ARCHITECTURE.md says why each listed function stays.
+scripts/deadcode.sh
+
 echo "== fuzz seed corpus =="
 # Runs every Fuzz* target over its committed seeds (no exploration):
 # synthesizer phase continuity, interleaved-chain stride continuity
