@@ -1,5 +1,8 @@
 // netscatter-sim runs concurrent NetScatter rounds over a simulated
 // office deployment and reports decode statistics and network metrics.
+// Its flags map onto a netscatter-serve deployment config, and it steps
+// the same world a served deployment of that config steps, so the two
+// report identical rounds.
 //
 // Usage:
 //
@@ -11,92 +14,56 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"netscatter"
-	"netscatter/internal/chirp"
-	"netscatter/internal/deploy"
-	"netscatter/internal/dsp"
-	"netscatter/internal/radio"
+	"netscatter/internal/serve"
 	"netscatter/internal/sim"
 )
 
-func main() {
-	var (
-		devices = flag.Int("devices", 64, "number of concurrent devices")
-		rounds  = flag.Int("rounds", 3, "rounds to run")
-		payload = flag.Int("payload", 5, "payload bytes per device")
-		sf      = flag.Int("sf", 9, "spreading factor")
-		bw      = flag.Float64("bw", 500e3, "chirp bandwidth [Hz]")
-		skip    = flag.Int("skip", 2, "minimum cyclic-shift spacing")
-		seed    = flag.Int64("seed", 1, "simulation seed")
-		fading  = flag.Bool("fading", false, "enable channel fading")
-		aps     = flag.Int("aps", 1, "access points hearing the deployment (>1 enables cross-AP diversity decode)")
-		churn   = flag.Float64("churn", 0, "per-round device sleep probability (>0 runs an adversarial trajectory)")
-		doppler = flag.Float64("doppler", 0, "maximum Doppler shift [Hz] for correlated fading drift (>0 runs a trajectory)")
-		apDrop  = flag.Float64("ap-drop", 0, "per-round, per-AP dropout probability (>0 runs a trajectory)")
-		soft    = flag.Bool("soft", false, "soft cross-AP combining: sum per-AP power spectra and decode the combined arena")
-		optAPs  = flag.Bool("opt-placement", false, "optimize AP placement for the generated fleet instead of the fixed line")
-	)
-	flag.Parse()
+// options holds the command line.
+type options struct {
+	devices, rounds, payload, sf, skip, aps int
+	bw                                      float64
+	seed                                    int64
+	fading, soft, optAPs                    bool
+	churn, doppler, apDrop                  float64
+}
 
-	if err := validateFlags(*devices, *rounds, *payload, *aps); err != nil {
+func main() {
+	o, err := parseArgs(os.Args[1:])
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "netscatter-sim:", err)
 		os.Exit(2)
 	}
-
-	if *churn > 0 || *doppler > 0 || *apDrop > 0 {
-		runTrajectory(*devices, *rounds, *payload, *sf, *bw, *skip, *aps, *seed,
-			*churn, *doppler, *apDrop, *optAPs)
-		return
-	}
-
-	if *aps > 1 || *soft || *optAPs {
-		runMultiAP(*devices, *rounds, *payload, *sf, *bw, *skip, *aps, *seed, *fading, *soft, *optAPs)
-		return
-	}
-
-	params := netscatter.Params{SF: *sf, BandwidthHz: *bw, Skip: *skip, Oversample: 1}
-	net, err := netscatter.NewNetwork(params, netscatter.Options{
-		Devices:      *devices,
-		Seed:         *seed,
-		PayloadBytes: *payload,
-		Fading:       *fading,
-	})
-	if err != nil {
+	if err := run(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
 
-	fmt.Printf("NetScatter network: %d devices, %s SF=%d SKIP>=%d\n",
-		*devices, fmtBW(*bw), *sf, *skip)
-	fmt.Printf("per-device bitrate %.0f bps, ideal aggregate %.1f kbps, SNR spread %.1f dB\n\n",
-		params.DeviceBitRate(), net.AggregateThroughput()/1e3, net.SNRSpread())
-
-	totalOK, totalTx := 0, 0
-	for r := 1; r <= *rounds; r++ {
-		payloads := map[int][]byte{}
-		for i := 0; i < *devices; i++ {
-			pl := make([]byte, *payload)
-			for j := range pl {
-				pl[j] = byte(r*31 + i*7 + j)
-			}
-			payloads[i] = pl
-		}
-		round, err := net.Run(payloads)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		ok := len(round.Payloads)
-		totalOK += ok
-		totalTx += *devices
-		fmt.Printf("round %d: %3d/%3d frames decoded, %d receiver FFTs, %.1f ms on air, goodput %.1f kbps\n",
-			r, ok, *devices, round.FFTs, round.Duration*1e3,
-			float64(ok**payload*8)/round.Duration/1e3)
+// parseArgs reads and validates the command line.
+func parseArgs(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("netscatter-sim", flag.ContinueOnError)
+	fs.IntVar(&o.devices, "devices", 64, "number of concurrent devices")
+	fs.IntVar(&o.rounds, "rounds", 3, "rounds to run")
+	fs.IntVar(&o.payload, "payload", 5, "payload bytes per device")
+	fs.IntVar(&o.sf, "sf", 9, "spreading factor")
+	fs.Float64Var(&o.bw, "bw", 500e3, "chirp bandwidth [Hz]")
+	fs.IntVar(&o.skip, "skip", 2, "minimum cyclic-shift spacing")
+	fs.Int64Var(&o.seed, "seed", 1, "simulation seed")
+	fs.BoolVar(&o.fading, "fading", false, "enable correlated channel fading (AR(1), rho 0.97)")
+	fs.IntVar(&o.aps, "aps", 1, "access points hearing the deployment (>1 enables cross-AP diversity decode)")
+	fs.Float64Var(&o.churn, "churn", 0, "per-round device sleep probability")
+	fs.Float64Var(&o.doppler, "doppler", 0, "maximum Doppler shift [Hz] for correlated fading drift")
+	fs.Float64Var(&o.apDrop, "ap-drop", 0, "per-round, per-AP dropout probability")
+	fs.BoolVar(&o.soft, "soft", false, "soft cross-AP combining: sum per-AP power spectra and decode the combined arena")
+	fs.BoolVar(&o.optAPs, "opt-placement", false, "optimize AP placement for the generated fleet instead of the fixed line")
+	if err := fs.Parse(args); err != nil {
+		return o, err
 	}
-	fmt.Printf("\ntotal: %d/%d frames (%.1f%%)\n",
-		totalOK, totalTx, 100*float64(totalOK)/float64(totalTx))
+	return o, validateFlags(o.devices, o.rounds, o.payload, o.aps)
 }
 
 // validateFlags rejects nonsensical count flags up front with a clear
@@ -116,141 +83,125 @@ func validateFlags(devices, rounds, payload, aps int) error {
 	return nil
 }
 
-// placeAPs applies the chosen placement strategy: the fixed line, or
-// the greedy combined-PER optimizer tuned to the generated fleet.
-func placeAPs(dep *deploy.Deployment, aps int, optimize bool) {
-	if optimize {
-		dep.PlaceAPsOptimized(aps)
-	} else {
-		dep.PlaceAPs(aps)
+// deployment maps the command line onto the served deployment config
+// it runs. Any of -fading, -churn, -doppler or -ap-drop steps the
+// deployment through a trajectory.
+func (o options) deployment() serve.DeploymentConfig {
+	cfg := serve.DeploymentConfig{
+		Devices:           o.devices,
+		APs:               o.aps,
+		SF:                o.sf,
+		BandwidthHz:       o.bw,
+		Skip:              o.skip,
+		PayloadBytes:      o.payload,
+		Seed:              o.seed,
+		SoftCombining:     o.soft,
+		OptimizePlacement: o.optAPs,
 	}
+	if o.fading || o.churn > 0 || o.doppler > 0 || o.apDrop > 0 {
+		cfg.Adversity = &serve.AdversityConfig{
+			DopplerHz:  o.doppler,
+			SleepProb:  o.churn,
+			APDropProb: o.apDrop,
+		}
+		if o.fading {
+			cfg.Adversity.Correlation = 0.97
+		}
+	}
+	return cfg
 }
 
-// runMultiAP drives the k-AP diversity network: every round is decoded
-// by each AP independently, then combined by the cross-AP aggregator
-// (CRC-preferring best-SNR selection, one count per device). With
-// -soft, the per-AP power spectra are additionally summed bin-wise and
-// the combined arena decoded as a virtual extra AP.
-func runMultiAP(devices, rounds, payload, sf int, bw float64, skip, aps int, seed int64, fading, soft, optAPs bool) {
-	rng := dsp.NewRand(seed)
-	dep := deploy.Generate(deploy.DefaultOffice, radio.DefaultLinkBudget, devices, bw, rng)
-	placeAPs(dep, aps, optAPs)
-
-	cfg := sim.DefaultConfig()
-	cfg.Params = chirp.Params{SF: sf, BW: bw, Oversample: 1}
-	cfg.Skip = skip
-	cfg.PayloadBytes = payload
-	cfg.Fading = fading
-	net, err := sim.NewMultiAPNetwork(cfg, dep, aps, devices, seed+1)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+// stepRounds steps w rounds times, handing each round's statistics to
+// each.
+func stepRounds(w serve.World, rounds int, each func(r int, st sim.MultiRoundStats)) error {
+	for r := 1; r <= rounds; r++ {
+		st, err := w.Step()
+		if err != nil {
+			return err
+		}
+		each(r, st)
 	}
-	net.SetSoftCombining(soft)
+	return nil
+}
 
+// run prints the deployment, one report per round and the totals.
+func run(out io.Writer, o options) error {
+	w, err := serve.BuildWorld(o.deployment())
+	if err != nil {
+		return err
+	}
 	placement := "line"
-	if optAPs {
+	if o.optAPs {
 		placement = "optimized"
 	}
-	fmt.Printf("NetScatter multi-AP network: %d devices, %d APs (%s placement), %s SF=%d SKIP>=%d\n",
-		devices, aps, placement, fmtBW(bw), sf, skip)
-	fmt.Printf("best-AP SNR spread %.1f dB (single-AP deployment: %.1f dB)\n\n",
-		dep.BestSNRSpreadDB(), dep.SNRSpreadDB())
+	fmt.Fprintf(out, "NetScatter network: %d devices, %d AP(s) (%s placement), %s SF=%d SKIP>=%d\n",
+		o.devices, o.aps, placement, fmtBW(o.bw), o.sf, o.skip)
+	fmt.Fprintf(out, "SNR spread %.1f dB, best-AP SNR spread %.1f dB\n", w.Dep.SNRSpreadDB(), w.Dep.BestSNRSpreadDB())
+	if w.Tr != nil {
+		fmt.Fprintf(out, "adversity: fading %v, doppler %.1f Hz, churn %.2f, AP dropout %.2f\n",
+			o.fading, o.doppler, o.churn, o.apDrop)
+	}
+	fmt.Fprintln(out)
 
-	totalOK, totalTx, totalBest, totalSoft := 0, 0, 0, 0
-	for r := 1; r <= rounds; r++ {
-		stats, err := net.RunRound(devices)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		best := 0
-		for _, s := range stats.PerAP {
-			if s.FramesOK > best {
-				best = s.FramesOK
+	var okTotal, txTotal, bestTotal, softTotal int
+	var perSum float64
+	err = stepRounds(w, o.rounds, func(r int, st sim.MultiRoundStats) {
+		c := st.Combined
+		ffts := 0
+		for _, d := range st.Decodes {
+			if d != nil {
+				ffts += d.FFTs
 			}
 		}
-		totalOK += stats.Combined.FramesOK
-		totalBest += best
-		totalTx += devices
-		fmt.Printf("round %d: combined %3d/%3d frames (PER %.3f), best single AP %3d, diversity +%d\n",
-			r, stats.Combined.FramesOK, devices, stats.Combined.PER(),
-			best, stats.DiversityFramesGained())
-		if soft {
-			totalSoft += stats.Soft.FramesOK
-			fmt.Printf("         soft: %3d/%3d frames (PER %.3f), spectral combining +%d\n",
-				stats.Soft.FramesOK, devices, stats.Soft.PER(), stats.SoftFramesGained())
+		okTotal += c.FramesOK
+		txTotal += c.Devices
+		perSum += c.PER()
+		fmt.Fprintf(out, "round %d: %3d/%3d frames (PER %.3f), %d receiver FFTs, %.1f ms on air, goodput %.1f kbps\n",
+			r, c.FramesOK, c.Devices, c.PER(), ffts, c.RoundSecs*1e3,
+			float64(c.FramesOK*o.payload*8)/c.RoundSecs/1e3)
+		if o.aps > 1 {
+			best := c.FramesOK - st.DiversityFramesGained()
+			bestTotal += best
+			fmt.Fprintf(out, "         best single AP %3d, diversity +%d\n", best, st.DiversityFramesGained())
 		}
-		for a, s := range stats.PerAP {
-			fmt.Printf("         AP %d: %3d/%3d frames, %d detected, BER %.4f\n",
-				a, s.FramesOK, devices, s.Detected, s.BER())
+		if o.soft {
+			softTotal += st.Soft.FramesOK
+			fmt.Fprintf(out, "         soft: %3d/%3d frames (PER %.3f), spectral combining +%d\n",
+				st.Soft.FramesOK, st.Soft.Devices, st.Soft.PER(), st.SoftFramesGained())
 		}
-	}
-	fmt.Printf("\ntotal: combined %d/%d frames (%.1f%%), best-single-AP %d (%.1f%%)\n",
-		totalOK, totalTx, 100*float64(totalOK)/float64(totalTx),
-		totalBest, 100*float64(totalBest)/float64(totalTx))
-	if soft {
-		fmt.Printf("soft combining: %d/%d frames (%.1f%%), +%d over selection\n",
-			totalSoft, totalTx, 100*float64(totalSoft)/float64(totalTx), totalSoft-totalOK)
-	}
-}
-
-// runTrajectory evolves the deployment through a time-varying
-// adversarial world — correlated fading drift at the given Doppler,
-// device duty-cycling, per-round AP dropout — and reports PER over
-// time plus the recovery pipeline's books (skips, re-associations,
-// recovery latency, loss attribution).
-func runTrajectory(devices, rounds, payload, sf int, bw float64, skip, aps int, seed int64, churn, doppler, apDrop float64, optAPs bool) {
-	rng := dsp.NewRand(seed)
-	dep := deploy.Generate(deploy.DefaultOffice, radio.DefaultLinkBudget, devices, bw, rng)
-	placeAPs(dep, aps, optAPs)
-
-	cfg := sim.DefaultConfig()
-	cfg.Params = chirp.Params{SF: sf, BW: bw, Oversample: 1}
-	cfg.Skip = skip
-	cfg.PayloadBytes = payload
-	net, err := sim.NewMultiAPNetwork(cfg, dep, aps, devices, seed+1)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	tr, err := sim.NewTrajectory(net, sim.TrajectoryConfig{
-		Rounds:     rounds,
-		Seed:       seed,
-		DopplerHz:  doppler,
-		SleepProb:  churn,
-		APDropProb: apDrop,
+		if o.aps > 1 {
+			for a, s := range st.PerAP {
+				fmt.Fprintf(out, "         AP %d: %3d/%3d frames, %d detected, BER %.4f\n",
+					a, s.FramesOK, s.Devices, s.Detected, s.BER())
+			}
+		}
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 
-	fmt.Printf("NetScatter trajectory: %d devices, %d APs, %s SF=%d, %d rounds\n",
-		devices, aps, fmtBW(bw), sf, rounds)
-	fmt.Printf("adversity: doppler %.1f Hz, churn %.2f, AP dropout %.2f\n\n", doppler, churn, apDrop)
-
-	for r := 1; r <= rounds; r++ {
-		stats, err := tr.Step()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("round %2d: %3d active, %3d/%3d frames (PER %.3f)\n",
-			r, stats.Combined.Devices, stats.Combined.FramesOK,
-			stats.Combined.Devices, stats.Combined.PER())
+	pct := func(n int) float64 { return 100 * float64(n) / float64(txTotal) }
+	fmt.Fprintf(out, "\ntotal: %d/%d frames (%.1f%%), mean PER %.3f over %d rounds\n",
+		okTotal, txTotal, pct(okTotal), perSum/float64(o.rounds), o.rounds)
+	if o.aps > 1 {
+		fmt.Fprintf(out, "best single AP: %d (%.1f%%)\n", bestTotal, pct(bestTotal))
 	}
-
-	s := tr.Stats()
-	fmt.Printf("\nmean PER %.3f over %d rounds (%d all-lost)\n", s.MeanPER(), s.Rounds, s.AllLostRounds)
-	fmt.Printf("churn: %d sleeps, %d wakes; power rule skipped %d device-rounds\n",
-		s.SleepEvents, s.WakeEvents, s.SkippedRounds)
-	fmt.Printf("recovery: %d AP-side losses, %d re-associations, mean latency %.1f rounds (p90 %.0f) over %d recoveries\n",
-		s.DevicesLostByAP, s.Reassociations, s.MeanRecoveryLatency(),
-		s.RecoveryLatencyQuantile(0.9), len(s.RecoveryLatencies))
-	fmt.Printf("losses: %d dropout, %d interference, %d fading, %d other; %d burst rounds, %d AP-down rounds\n",
-		s.LostToDropout, s.LostToInterference, s.LostToFading, s.LostToOther,
-		s.BurstRounds, s.APDownRounds)
+	if o.soft {
+		fmt.Fprintf(out, "soft combining: %d (%.1f%%), +%d over selection\n",
+			softTotal, pct(softTotal), softTotal-okTotal)
+	}
+	if w.Tr != nil {
+		s := w.Tr.Stats()
+		fmt.Fprintf(out, "churn: %d sleeps, %d wakes; power rule skipped %d device-rounds; %d all-lost rounds\n",
+			s.SleepEvents, s.WakeEvents, s.SkippedRounds, s.AllLostRounds)
+		fmt.Fprintf(out, "recovery: %d AP-side losses, %d re-associations, mean latency %.1f rounds (p90 %.0f) over %d recoveries\n",
+			s.DevicesLostByAP, s.Reassociations, s.MeanRecoveryLatency(),
+			s.RecoveryLatencyQuantile(0.9), len(s.RecoveryLatencies))
+		fmt.Fprintf(out, "losses: %d dropout, %d interference, %d fading, %d other; %d burst rounds, %d AP-down rounds\n",
+			s.LostToDropout, s.LostToInterference, s.LostToFading, s.LostToOther,
+			s.BurstRounds, s.APDownRounds)
+	}
+	return nil
 }
 
 func fmtBW(bw float64) string {

@@ -1,9 +1,8 @@
 package serve
 
 // RunLocal is the in-process twin of a hosted deployment: it builds
-// the tenant world exactly as POST /v1/deployments would (geometry
-// from Seed, network from Seed+1, trajectory when adversity is set)
-// and runs rounds through the same step path the scheduler uses, so a
+// the world exactly as POST /v1/deployments would (BuildWorld) and
+// runs rounds through the same step path the scheduler uses, so a
 // config stepped locally and the same config stepped on a live
 // netscatter-serve instance accumulate bit-identical snapshots. The
 // campaign runner uses this as its local executor; the equivalence is
@@ -18,21 +17,17 @@ func RunLocal(cfg DeploymentConfig, rounds int) (sim.Snapshot, error) {
 	if err := cfg.validate(Config{}.withDefaults().MaxDevices); err != nil {
 		return sim.Snapshot{}, err
 	}
-	t, err := buildTenant(cfg)
+	w, err := BuildWorld(cfg)
 	if err != nil {
 		return sim.Snapshot{}, err
 	}
+	var acc sim.Accumulator
 	for i := 0; i < rounds; i++ {
-		var stats sim.MultiRoundStats
-		if t.adversity {
-			stats, err = t.tr.Step()
-		} else {
-			stats, err = t.net.RunRound(cfg.Devices)
-		}
+		stats, err := w.Step()
 		if err != nil {
 			return sim.Snapshot{}, err
 		}
-		t.acc.AddMulti(stats, t.net.SoftCombining())
+		acc.AddMulti(stats, w.Net.SoftCombining())
 	}
-	return t.acc.Snapshot(), nil
+	return acc.Snapshot(), nil
 }

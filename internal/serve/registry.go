@@ -153,11 +153,23 @@ type tenant struct {
 	turnFn func() // persistent scheduler job (allocated once)
 }
 
-// buildTenant constructs the tenant's world exactly the way
-// cmd/netscatter-sim does for the same knobs: geometry from Seed,
-// network from Seed+1, so a served deployment is bit-identical to the
-// corresponding batch run (the endpoint test pins this).
-func buildTenant(cfg DeploymentConfig) (*tenant, error) {
+// World is one deployment's simulated world: its geometry, the network
+// associated over it, and — when the config sets Adversity — the
+// trajectory that steps it.
+type World struct {
+	Dep *deploy.Deployment
+	Net *sim.MultiAPNetwork
+	Tr  *sim.Trajectory // nil without adversity
+
+	devices int
+}
+
+// BuildWorld constructs the world of a deployment config (defaults
+// applied): geometry from Seed, network from Seed+1, and a trajectory
+// when Adversity is set. A hosted deployment, RunLocal and
+// cmd/netscatter-sim all build their worlds here, so equal configs step
+// bit-identical rounds wherever they run.
+func BuildWorld(cfg DeploymentConfig) (World, error) {
 	rng := dsp.NewRand(cfg.Seed)
 	dep := deploy.Generate(deploy.DefaultOffice, radio.DefaultLinkBudget, cfg.Devices, cfg.BandwidthHz, rng)
 	if cfg.OptimizePlacement {
@@ -171,31 +183,32 @@ func buildTenant(cfg DeploymentConfig) (*tenant, error) {
 	sc.PayloadBytes = cfg.PayloadBytes
 	net, err := sim.NewMultiAPNetwork(sc, dep, cfg.APs, cfg.Devices, cfg.Seed+1)
 	if err != nil {
-		return nil, err
+		return World{}, err
 	}
 	net.SetSoftCombining(cfg.SoftCombining)
-	t := &tenant{cfg: cfg, created: time.Now(), net: net, softOn: cfg.SoftCombining}
+	w := World{Dep: dep, Net: net, devices: cfg.Devices}
 	if cfg.Adversity != nil {
-		if err := t.ensureTrajectory(*cfg.Adversity); err != nil {
-			return nil, err
+		if w.Tr, err = newTrajectory(net, cfg.Seed, *cfg.Adversity); err != nil {
+			return World{}, err
 		}
-		t.adversity = true
-		t.advOn = true
 	}
-	return t, nil
+	return w, nil
 }
 
-// ensureTrajectory attaches the tenant's trajectory on first enable.
-// The adversity processes are fixed at that point; later enables
-// reattach the same trajectory (its protocol state carries over).
-// Callers hold stepMu, or own the tenant exclusively as buildTenant
-// does.
-func (t *tenant) ensureTrajectory(a AdversityConfig) error {
-	if t.tr != nil {
-		return nil
+// Step runs the world's next round: a trajectory step under adversity,
+// a plain round otherwise.
+func (w World) Step() (sim.MultiRoundStats, error) {
+	if w.Tr != nil {
+		return w.Tr.Step()
 	}
-	tr, err := sim.NewTrajectory(t.net, sim.TrajectoryConfig{
-		Seed:          t.cfg.Seed,
+	return w.Net.RunRound(w.devices)
+}
+
+// newTrajectory wraps a fresh network in the trajectory of the given
+// adversity processes, keyed by the deployment seed.
+func newTrajectory(net *sim.MultiAPNetwork, seed int64, a AdversityConfig) (*sim.Trajectory, error) {
+	return sim.NewTrajectory(net, sim.TrajectoryConfig{
+		Seed:          seed,
 		DopplerHz:     a.DopplerHz,
 		Correlation:   a.Correlation,
 		CFODriftHz:    a.CFODriftHz,
@@ -208,6 +221,34 @@ func (t *tenant) ensureTrajectory(a AdversityConfig) error {
 		// bound; the tenant accumulator is the durable aggregate.
 		NoSeries: true,
 	})
+}
+
+// buildTenant wraps a config's world in a tenant.
+func buildTenant(cfg DeploymentConfig) (*tenant, error) {
+	w, err := BuildWorld(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &tenant{
+		cfg:       cfg,
+		created:   time.Now(),
+		net:       w.Net,
+		tr:        w.Tr,
+		adversity: w.Tr != nil,
+		advOn:     w.Tr != nil,
+		softOn:    cfg.SoftCombining,
+	}, nil
+}
+
+// ensureTrajectory attaches the tenant's trajectory on first enable.
+// The adversity processes are fixed at that point; later enables
+// reattach the same trajectory (its protocol state carries over).
+// Callers hold stepMu.
+func (t *tenant) ensureTrajectory(a AdversityConfig) error {
+	if t.tr != nil {
+		return nil
+	}
+	tr, err := newTrajectory(t.net, t.cfg.Seed, a)
 	if err != nil {
 		return err
 	}

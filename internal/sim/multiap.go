@@ -28,12 +28,15 @@ import (
 // selecting per device over the per-AP decodes *and* the soft
 // (non-coherent power-summed) combined decode — by construction never
 // worse than Combined, since the combined decode only adds a candidate
-// to the selection pool. With soft combining off, Soft is zero. PerAP
-// aliases network-owned storage, valid until the next RunRound call.
+// to the selection pool. With soft combining off, Soft is zero. Decodes
+// holds each AP's frame decode of the round, indexed by device (nil for
+// an AP that was down). PerAP and Decodes alias network-owned storage,
+// valid until the next round.
 type MultiRoundStats struct {
 	Combined RoundStats
 	Soft     RoundStats
 	PerAP    []RoundStats
+	Decodes  []*core.FrameDecode
 }
 
 // SoftFramesGained returns how many CRC-valid frames soft spectral
@@ -154,11 +157,11 @@ func NewMultiAPNetwork(cfg Config, dep *deploy.Deployment, nAPs, maxDevices int,
 	if len(dep.APs) != nAPs || (len(dep.Devices) > 0 && len(dep.Devices[0].APLinks) != nAPs) {
 		dep.PlaceAPs(nAPs)
 	}
-	book, err := BuildCodeBook(cfg, maxDevices)
+	book, err := buildCodeBook(cfg, maxDevices)
 	if err != nil {
 		return nil, err
 	}
-	dcfg := ResolveDecoderConfig(cfg, book.Skip())
+	dcfg := resolveDecoderConfig(cfg, book.Skip())
 	n := &MultiAPNetwork{
 		cfg:      cfg,
 		dep:      dep,
@@ -308,7 +311,7 @@ func (n *MultiAPNetwork) SetSoftCombining(on bool) {
 	if !on || n.combDec != nil {
 		return
 	}
-	n.combDec = core.NewDecoder(n.book, ResolveDecoderConfig(n.cfg, n.book.Skip()))
+	n.combDec = core.NewDecoder(n.book, resolveDecoderConfig(n.cfg, n.book.Skip()))
 	payloadBits := n.cfg.PayloadBytes*8 + core.CRCBits
 	emitLen := n.combDec.EmitLen(payloadBits)
 	rc := &n.rc
@@ -356,6 +359,10 @@ type advRound struct {
 	// cfoHz[i] adds onto device i's oscillator offset — the trajectory's
 	// CFO random-walk drift.
 	cfoHz []float64
+	// payloads[i], when non-nil, replaces device i's drawn payload with
+	// the caller's bytes (the draw still happens, so no other draw
+	// moves). nil means every device sends its drawn payload.
+	payloads [][]byte
 	// extra carries interference-burst transmissions appended after the
 	// device fleet (so device carrier-phase draws are unperturbed).
 	extra []air.MultiTransmission
@@ -389,6 +396,9 @@ func (n *MultiAPNetwork) runRound(nDevices int, adv *advRound) (MultiRoundStats,
 	txs := rc.txs[:nDevices]
 	for i := 0; i < nDevices; i++ {
 		n.rng.FillBytes(rc.payloads[i])
+		if adv != nil && adv.payloads != nil && adv.payloads[i] != nil {
+			copy(rc.payloads[i], adv.payloads[i])
+		}
 		core.FrameBitsInto(rc.bits[i], rc.payloads[i])
 		var fade complex128
 		if n.faders[i] != nil {
@@ -539,7 +549,7 @@ func (n *MultiAPNetwork) runRound(nDevices int, adv *advRound) (MultiRoundStats,
 			tallyDevice(&soft, &rc.resPlus[a].Devices[i], rc.bits[i], rc.payloads[i], payloadBits)
 		}
 	}
-	return MultiRoundStats{Combined: combined, Soft: soft, PerAP: rc.perAP}, nil
+	return MultiRoundStats{Combined: combined, Soft: soft, PerAP: rc.perAP, Decodes: rc.res}, nil
 }
 
 // BestDecode returns the index of the AP whose decode of candidate dev

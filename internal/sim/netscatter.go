@@ -139,13 +139,13 @@ func (n *Network) RunRound(nDevices int) (RoundStats, error) {
 	return st.Combined, err
 }
 
-// BuildCodeBook selects the effective cyclic-shift spacing for a
+// buildCodeBook selects the effective cyclic-shift spacing for a
 // network of maxDevices and builds its code book. Devices are spread
 // over the whole spectrum when slots outnumber them: with 128 of 256
 // devices the effective spacing is SKIP=4, matching the paper's
 // observation that under 128 devices "the devices are separated by
 // more than 2 cyclic shifts" (§4.4).
-func BuildCodeBook(cfg Config, maxDevices int) (*core.CodeBook, error) {
+func buildCodeBook(cfg Config, maxDevices int) (*core.CodeBook, error) {
 	skip := cfg.Skip
 	if maxDevices > 0 {
 		if s := cfg.Params.N() / maxDevices; s > skip {
@@ -165,11 +165,11 @@ func BuildCodeBook(cfg Config, maxDevices int) (*core.CodeBook, error) {
 	return book, nil
 }
 
-// ResolveDecoderConfig applies the simulator's decoder defaults: a
+// resolveDecoderConfig applies the simulator's decoder defaults: a
 // guard window matched to the residual-offset regime and the
 // normalized noise floor the AP would calibrate on quiet intervals
 // (exactly N per padded bin — unit noise over an N-sample window).
-func ResolveDecoderConfig(cfg Config, skip int) core.DecoderConfig {
+func resolveDecoderConfig(cfg Config, skip int) core.DecoderConfig {
 	dcfg := core.DefaultDecoderConfig(skip)
 	if dcfg.GuardBins > 2 {
 		// Residual offsets never exceed ~2 bins (Fig. 14b); a wider

@@ -36,7 +36,7 @@ func TestSoftCombinedSpectraOracle(t *testing.T) {
 			p := net.cfg.Params
 			n := p.N()
 			payloadBits := net.cfg.PayloadBytes*8 + core.CRCBits
-			dcfg := ResolveDecoderConfig(net.cfg, net.book.Skip())
+			dcfg := resolveDecoderConfig(net.cfg, net.book.Skip())
 			dem := chirp.NewDemodulator(p, dcfg.ZeroPad)
 			bins := dem.PaddedBins()
 			want := make([]float64, core.EmitRows(payloadBits)*bins)

@@ -471,11 +471,28 @@ func (t *Trajectory) syncSlots() {
 // (device order, then the round), so a trajectory is bit-identical at
 // any GOMAXPROCS. An event-free step allocates nothing once Stats
 // arenas are warm.
-func (t *Trajectory) Step() (MultiRoundStats, error) {
+func (t *Trajectory) Step() (MultiRoundStats, error) { return t.StepFrames(nil) }
+
+// StepFrames is Step with the caller's payloads: device i sends
+// payloads[i] instead of its drawn payload, and stays silent when
+// payloads[i] is nil. Every non-nil entry must be the network's
+// PayloadBytes long. A nil slice is Step. The draws are those of Step,
+// so caller bytes never move another device's randomness.
+func (t *Trajectory) StepFrames(payloads [][]byte) (MultiRoundStats, error) {
 	n := t.net
 	r := t.round
 	nd := t.nDevices
 	cfg := &t.cfg
+	if payloads != nil {
+		if len(payloads) != nd {
+			return MultiRoundStats{}, fmt.Errorf("sim: %d payloads for %d devices", len(payloads), nd)
+		}
+		for i, p := range payloads {
+			if p != nil && len(p) != n.cfg.PayloadBytes {
+				return MultiRoundStats{}, fmt.Errorf("sim: device %d payload is %d bytes, want %d", i, len(p), n.cfg.PayloadBytes)
+			}
+		}
+	}
 
 	// Infrastructure faults for the round.
 	nAlive := planDropout(cfg.Seed, uint64(r), cfg.APDropProb, t.adv.apAlive)
@@ -558,7 +575,8 @@ func (t *Trajectory) Step() (MultiRoundStats, error) {
 				}
 			}
 		}
-		t.adv.active[i] = deviceActive(t.asleep[i], t.reassocLeft[i], participate) && t.known[i]
+		t.adv.active[i] = deviceActive(t.asleep[i], t.reassocLeft[i], participate) && t.known[i] &&
+			(payloads == nil || payloads[i] != nil)
 	}
 
 	// Refresh the per-(device, AP) effective SNRs from current geometry
@@ -571,7 +589,9 @@ func (t *Trajectory) Step() (MultiRoundStats, error) {
 		}
 	}
 
+	t.adv.payloads = payloads
 	stats, err := n.runRound(nd, &t.adv)
+	t.adv.payloads = nil
 	if err != nil {
 		return stats, err
 	}

@@ -304,4 +304,61 @@ func TestTrajectorySteadyStateAllocsDropoutFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state trajectory step allocates %.1f objects/op, want 0", allocs)
 	}
+
+	// Caller payloads, one device silenced: the same steady state.
+	frames := make([][]byte, 12)
+	for i := 1; i < len(frames); i++ {
+		frames[i] = []byte{byte(i), 0xA5}
+	}
+	allocs = testing.AllocsPerRun(10, func() {
+		if _, err := tr.StepFrames(frames); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state StepFrames allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestStepFramesCallerPayloads: StepFrames sends the caller's bytes,
+// silences nil entries, and rejects payload lists that do not fit the
+// network.
+func TestStepFramesCallerPayloads(t *testing.T) {
+	net := testMultiAPNetwork(t, 12, 1, 31)
+	tr, err := NewTrajectory(net, TrajectoryConfig{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := make([][]byte, 12)
+	for i := 0; i < len(frames); i += 2 {
+		frames[i] = []byte{byte(i), 0x3C}
+	}
+	st, err := tr.StepFrames(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Combined.Devices != 6 {
+		t.Fatalf("%d devices scheduled, want the 6 with payloads", st.Combined.Devices)
+	}
+	ok := 0
+	for i, want := range frames {
+		dev := st.Decodes[0].Devices[i]
+		if want == nil || !dev.CRCOK {
+			continue
+		}
+		if !reflect.DeepEqual(dev.Payload, want) {
+			t.Fatalf("device %d decoded % x, sent % x", i, dev.Payload, want)
+		}
+		ok++
+	}
+	if ok != st.Combined.FramesOK || ok < 5 {
+		t.Fatalf("%d caller payloads decoded, stats count %d", ok, st.Combined.FramesOK)
+	}
+	if _, err := tr.StepFrames(frames[:11]); err == nil {
+		t.Error("short payload list accepted")
+	}
+	frames[0] = []byte{1}
+	if _, err := tr.StepFrames(frames); err == nil {
+		t.Error("wrong-length payload accepted")
+	}
 }

@@ -6,16 +6,15 @@
 // shared chirp, and the access point decodes everyone with a single FFT
 // per symbol.
 //
-// This package is the public facade. It wires together the internal
-// substrates (chirp DSP, RF channel models, backscatter hardware
-// models, the distributed-CSS codec, the MAC protocol and the office
-// deployment generator) into a small API:
+// This package is the public facade: a small API over the simulator's
+// one-AP network, stepped by a trajectory on the caller's payloads, so
+// its rounds take the simulator's one round path:
 //
-//	net, _ := netscatter.NewNetwork(netscatter.DefaultParams(), netscatter.Options{Devices: 64, Seed: 1})
+//	net, _ := netscatter.NewNetwork(netscatter.DefaultParams(), netscatter.Options{Devices: 64, Seed: 1, PayloadBytes: 2})
 //	round, _ := net.Run(map[int][]byte{0: []byte("hi"), 5: []byte("yo")})
 //	fmt.Println(round.Payloads[0], round.Payloads[5])
 //
-// The cmd/ binaries and examples/ directories exercise this API; the
+// The examples/ directories exercise this API; the
 // internal/exper registry regenerates every table and figure of the
 // paper's evaluation.
 package netscatter
@@ -23,13 +22,9 @@ package netscatter
 import (
 	"fmt"
 
-	"netscatter/internal/air"
 	"netscatter/internal/chirp"
-	"netscatter/internal/core"
 	"netscatter/internal/deploy"
 	"netscatter/internal/dsp"
-	"netscatter/internal/hw"
-	"netscatter/internal/mac"
 	"netscatter/internal/radio"
 	"netscatter/internal/sim"
 )
@@ -71,30 +66,24 @@ type Options struct {
 	Devices int
 	// Seed drives all randomness; equal seeds reproduce runs exactly.
 	Seed int64
-	// PayloadBytes per device per round (default 5, as in §4.4).
+	// PayloadBytes per device per round (default 5, as in §4.4). Run
+	// accepts only payloads of this length.
 	PayloadBytes int
-	// Office overrides the floor plan (default: the 12-room 40x20 m
-	// office of the paper's deployment).
-	Office *deploy.FloorPlan
-	// DisablePowerControl turns off device power adaptation.
-	DisablePowerControl bool
-	// Fading enables per-round Ricean channel variation.
+	// Fading enables per-round correlated Ricean channel variation,
+	// which the devices' power rule follows.
 	Fading bool
 }
 
 // Network is a simulated NetScatter deployment: an AP plus Devices tags
 // placed across an office floor, associated and ready to run concurrent
-// rounds.
+// rounds. It is a view of the simulator's one-AP network stepped by a
+// trajectory: every round takes the simulator's one round path.
 type Network struct {
-	params  Params
-	opts    Options
-	cp      chirp.Params
-	book    *core.CodeBook
-	decoder *core.ParallelDecoder
-	dep     *deploy.Deployment
-	rng     *dsp.Rand
-
-	devices []*Device
+	params       Params
+	payloadBytes int
+	dep          *deploy.Deployment
+	net          *sim.Network
+	tr           *sim.Trajectory
 }
 
 // Device is one simulated tag.
@@ -114,17 +103,10 @@ type Device struct {
 	// DownlinkRSSIdBm is the AP query strength at the tag's envelope
 	// detector — the input to the power-adaptation loop.
 	DownlinkRSSIdBm float64
-
-	enc   *Encoder
-	osc   radio.Oscillator
-	fader *radio.FadingProcess
-	pc    *mac.PowerController
 }
 
-// Encoder aliases the core encoder for advanced use.
-type Encoder = core.Encoder
-
-// NewNetwork deploys and associates a network.
+// NewNetwork deploys and associates a network: geometry from Seed, the
+// network's own draws from Seed+1, as for a served deployment.
 func NewNetwork(params Params, opts Options) (*Network, error) {
 	cp := params.chirp()
 	if err := cp.Validate(); err != nil {
@@ -136,88 +118,58 @@ func NewNetwork(params Params, opts Options) (*Network, error) {
 	if opts.Devices > params.MaxDevices() {
 		return nil, fmt.Errorf("netscatter: %d devices exceed capacity %d", opts.Devices, params.MaxDevices())
 	}
+	if opts.PayloadBytes < 0 {
+		return nil, fmt.Errorf("netscatter: Options.PayloadBytes must not be negative")
+	}
 	if opts.PayloadBytes == 0 {
 		opts.PayloadBytes = 5
 	}
-	plan := deploy.DefaultOffice
-	if opts.Office != nil {
-		plan = *opts.Office
-	}
-	rng := dsp.NewRand(opts.Seed)
-	dep := deploy.Generate(plan, radio.DefaultLinkBudget, opts.Devices, params.BandwidthHz, rng)
-
-	// The simulator's code-book sizing (effective SKIP grows when fewer
-	// devices than slots) and receiver defaults.
-	scfg := sim.Config{Params: cp, Skip: params.Skip}
-	book, err := sim.BuildCodeBook(scfg, opts.Devices)
+	dep := deploy.Generate(deploy.DefaultOffice, radio.DefaultLinkBudget, opts.Devices, params.BandwidthHz, dsp.NewRand(opts.Seed))
+	cfg := sim.DefaultConfig()
+	cfg.Params = cp
+	cfg.Skip = params.Skip
+	cfg.PayloadBytes = opts.PayloadBytes
+	net, err := sim.NewNetwork(cfg, dep, opts.Devices, opts.Seed+1)
 	if err != nil {
 		return nil, err
 	}
-
-	n := &Network{
-		params:  params,
-		opts:    opts,
-		cp:      cp,
-		book:    book,
-		decoder: core.NewParallelDecoder(book, sim.ResolveDecoderConfig(scfg, book.Skip()), 0),
-		dep:     dep,
-		rng:     rng,
+	tcfg := sim.TrajectoryConfig{Seed: opts.Seed, NoSeries: true}
+	if opts.Fading {
+		tcfg.Correlation = 0.97
 	}
-
-	// Association: power rule, then power-aware allocation.
-	ids := make([]uint8, opts.Devices)
-	snrs := make([]float64, opts.Devices)
-	gains := make([]float64, opts.Devices)
-	pcs := make([]*mac.PowerController, opts.Devices)
-	for i := 0; i < opts.Devices; i++ {
-		ids[i] = uint8(i)
-		gain := 0.0
-		if !opts.DisablePowerControl {
-			pcs[i] = mac.NewPowerController()
-			gain = pcs[i].AssociateGainDB(dep.Devices[i].DownlinkRSSIdBm)
-		}
-		gains[i] = gain
-		snrs[i] = dep.Devices[i].UplinkSNRdB + gain
+	tr, err := sim.NewTrajectory(net.MultiAPNetwork, tcfg)
+	if err != nil {
+		return nil, err
 	}
-	alloc := mac.NewDataOnlyAllocator(book)
-	assign := alloc.AssignAll(ids, snrs)
-
-	for i := 0; i < opts.Devices; i++ {
-		slot := assign[uint8(i)]
-		shift := book.ShiftOfSlot(slot)
-		dev := &Device{
-			Index:           i,
-			Shift:           shift,
-			Slot:            slot,
-			SNRdB:           dep.Devices[i].UplinkSNRdB,
-			GainDB:          gains[i],
-			Position:        dep.Devices[i].Pos,
-			DownlinkRSSIdBm: dep.Devices[i].DownlinkRSSIdBm,
-			enc:             core.NewEncoder(cp, shift),
-			osc:             radio.NewBackscatterOscillator(rng, 20, 50),
-			pc:              pcs[i],
-		}
-		if opts.Fading {
-			dev.fader = radio.NewFadingProcess(10, 0.97, rng.Fork())
-		}
-		n.devices = append(n.devices, dev)
-	}
-	return n, nil
+	return &Network{params: params, payloadBytes: opts.PayloadBytes, dep: dep, net: net, tr: tr}, nil
 }
 
-// Devices returns the network's tags.
-func (n *Network) Devices() []*Device { return n.devices }
-
-// Params returns the network's physical-layer configuration.
-func (n *Network) Params() Params { return n.params }
+// Devices returns the network's tags as of the last round.
+func (n *Network) Devices() []*Device {
+	out := make([]*Device, len(n.dep.Devices))
+	for i := range out {
+		d := &n.dep.Devices[i]
+		slot := n.net.SlotOf(i)
+		out[i] = &Device{
+			Index:           i,
+			Shift:           n.net.Book().ShiftOfSlot(slot),
+			Slot:            slot,
+			SNRdB:           d.UplinkSNRdB,
+			GainDB:          n.net.GainOf(i),
+			Position:        d.Pos,
+			DownlinkRSSIdBm: d.DownlinkRSSIdBm,
+		}
+	}
+	return out
+}
 
 // Round is the outcome of one concurrent transmission round.
 type Round struct {
 	// Payloads maps device index to the correctly decoded payload
 	// (CRC-checked). Devices that failed to decode are absent.
 	Payloads map[int][]byte
-	// Detected lists whether each transmitting device's preamble was
-	// found.
+	// Detected lists whether each device given a payload had its
+	// preamble found (false when its power rule sat the round out).
 	Detected map[int]bool
 	// Duration is the round's on-air time in seconds (query + shared
 	// preamble + payload).
@@ -228,82 +180,40 @@ type Round struct {
 }
 
 // Run executes one concurrent round: every device with an entry in
-// payloads transmits simultaneously; the AP decodes them all from one
-// received stream. All payloads must share a length.
+// payloads transmits simultaneously, unless its power rule sits the
+// round out; the AP decodes them all from one received stream. Every
+// payload must be Options.PayloadBytes long.
 func (n *Network) Run(payloads map[int][]byte) (*Round, error) {
 	if len(payloads) == 0 {
 		return nil, fmt.Errorf("netscatter: no payloads")
 	}
-	size := -1
+	frames := make([][]byte, len(n.dep.Devices))
 	for idx, pl := range payloads {
-		if idx < 0 || idx >= len(n.devices) {
+		if idx < 0 || idx >= len(frames) {
 			return nil, fmt.Errorf("netscatter: device index %d out of range", idx)
 		}
-		if size == -1 {
-			size = len(pl)
-		} else if len(pl) != size {
-			return nil, fmt.Errorf("netscatter: payload sizes differ (%d vs %d)", size, len(pl))
+		if len(pl) != n.payloadBytes {
+			return nil, fmt.Errorf("netscatter: device %d payload is %d bytes, want %d", idx, len(pl), n.payloadBytes)
 		}
+		frames[idx] = pl
 	}
-	payloadBits := size*8 + core.CRCBits
-	frameSymbols := core.PreambleSymbols + payloadBits
-
-	var txs []air.Transmission
-	var shifts []int
-	var idxs []int
-	for idx := 0; idx < len(n.devices); idx++ {
-		pl, ok := payloads[idx]
-		if !ok {
-			continue
-		}
-		dev := n.devices[idx]
-		var fade complex128
-		fadeDB := 0.0
-		if dev.fader != nil {
-			fade = dev.fader.Step()
-			fadeDB = radio.LinearToDB(real(fade)*real(fade) + imag(fade)*imag(fade))
-		}
-		// Zero-overhead power adaptation (§3.2.3): the channel is
-		// reciprocal, so the query's envelope-detector RSSI moves with
-		// the same fading the uplink sees; the device counter-steers
-		// its backscatter gain.
-		if dev.pc != nil {
-			if gain, participate := dev.pc.Adjust(dev.DownlinkRSSIdBm + fadeDB); participate {
-				dev.GainDB = gain
-			} else {
-				continue // sit the round out rather than transmit badly
-			}
-		}
-		tx := dev.enc.Tx(core.FrameBits(pl))
-		tx.SNRdB = dev.SNRdB + dev.GainDB
-		tx.DelaySec = hw.DefaultDelayModel.Draw(n.rng) + hw.PropagationDelaySec(dev.Position.Distance(n.dep.Plan.AP))
-		tx.FreqOffsetHz = dev.osc.PacketOffsetHz(n.rng)
-		tx.FadeGain = fade
-		txs = append(txs, tx)
-		shifts = append(shifts, dev.Shift)
-		idxs = append(idxs, idx)
-	}
-
-	ch := air.NewChannel(n.cp, n.rng)
-	sig := ch.Receive(ch.FrameLength(frameSymbols, 2), txs)
-	res, err := n.decoder.DecodeFrame(sig, 0, shifts, payloadBits)
+	stats, err := n.tr.StepFrames(frames)
 	if err != nil {
 		return nil, err
 	}
-
-	t := radio.DefaultASK
+	dec := stats.Decodes[0]
 	round := &Round{
 		Payloads: map[int][]byte{},
 		Detected: map[int]bool{},
-		Duration: t.Duration(32) + float64(frameSymbols)*n.cp.SymbolPeriod(),
-		FFTs:     res.FFTs,
+		Duration: stats.Combined.RoundSecs,
+		FFTs:     dec.FFTs,
 	}
-	for i, dev := range res.Devices {
-		idx := idxs[i]
+	for idx := range payloads {
+		dev := &dec.Devices[idx]
 		round.Detected[idx] = dev.Detected
 		if dev.CRCOK {
-			// The decode result aliases decoder arenas reused by the next
-			// Run; the Round escapes to the caller, so copy.
+			// The decode aliases arenas the next round reuses; the
+			// Round escapes to the caller, so copy.
 			round.Payloads[idx] = append([]byte(nil), dev.Payload...)
 		}
 	}
@@ -313,7 +223,7 @@ func (n *Network) Run(payloads map[int][]byte) (*Round, error) {
 // AggregateThroughput returns the ideal aggregate network throughput in
 // bits/s: Devices·BW/2^SF (§3.1: the whole bandwidth).
 func (n *Network) AggregateThroughput() float64 {
-	return float64(len(n.devices)) * n.cp.OOKBitRate()
+	return float64(len(n.dep.Devices)) * n.params.DeviceBitRate()
 }
 
 // SNRSpread returns the deployment's max-min uplink SNR spread in dB.

@@ -2,6 +2,8 @@ package netscatter
 
 import (
 	"bytes"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -17,7 +19,7 @@ func TestDefaultParams(t *testing.T) {
 }
 
 func TestNetworkRoundTrip(t *testing.T) {
-	net, err := NewNetwork(DefaultParams(), Options{Devices: 24, Seed: 1})
+	net, err := NewNetwork(DefaultParams(), Options{Devices: 24, Seed: 1, PayloadBytes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func TestNetworkRoundTrip(t *testing.T) {
 }
 
 func TestNetworkPartialRound(t *testing.T) {
-	net, err := NewNetwork(DefaultParams(), Options{Devices: 16, Seed: 2})
+	net, err := NewNetwork(DefaultParams(), Options{Devices: 16, Seed: 2, PayloadBytes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,37 +89,47 @@ func TestNetworkValidation(t *testing.T) {
 	if _, err := net.Run(map[int][]byte{0: {1}, 1: {1, 2}}); err == nil {
 		t.Error("mismatched payload sizes accepted")
 	}
+	// Payloads share a length, but not Options.PayloadBytes (default 5).
+	if _, err := net.Run(map[int][]byte{0: {1, 2, 3}, 1: {4, 5, 6}}); err == nil {
+		t.Error("payloads of the wrong length accepted")
+	}
 }
 
+// TestNetworkDeterministic: facade rounds are bit-identical across
+// runs and worker counts — the round path fans out over the pool, so
+// GOMAXPROCS must not leak into what the AP decodes.
 func TestNetworkDeterministic(t *testing.T) {
-	run := func() map[int][]byte {
-		net, err := NewNetwork(DefaultParams(), Options{Devices: 8, Seed: 77})
+	run := func(procs int) []*Round {
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
+		net, err := NewNetwork(DefaultParams(), Options{Devices: 8, Seed: 77, PayloadBytes: 1, Fading: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		payloads := map[int][]byte{}
-		for i := 0; i < 8; i++ {
-			payloads[i] = []byte{byte(i * 11)}
+		var rounds []*Round
+		for r := 0; r < 3; r++ {
+			payloads := map[int][]byte{}
+			for i := 0; i < 8; i++ {
+				payloads[i] = []byte{byte(i*11 + r)}
+			}
+			round, err := net.Run(payloads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rounds = append(rounds, round)
 		}
-		round, err := net.Run(payloads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return round.Payloads
+		return rounds
 	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("non-deterministic decode count: %d vs %d", len(a), len(b))
-	}
-	for k, v := range a {
-		if !bytes.Equal(b[k], v) {
-			t.Fatalf("non-deterministic payload for %d", k)
+	want := run(1)
+	for _, procs := range []int{1, 2, 4} {
+		if got := run(procs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("GOMAXPROCS=%d: rounds differ from GOMAXPROCS=1", procs)
 		}
 	}
 }
 
 func TestNetworkQuickPayloads(t *testing.T) {
-	net, err := NewNetwork(DefaultParams(), Options{Devices: 4, Seed: 5})
+	net, err := NewNetwork(DefaultParams(), Options{Devices: 4, Seed: 5, PayloadBytes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +161,7 @@ func TestAggregateThroughputScalesWithBandwidth(t *testing.T) {
 }
 
 func TestFadingNetworkStillDecodes(t *testing.T) {
-	net, err := NewNetwork(DefaultParams(), Options{Devices: 16, Seed: 8, Fading: true})
+	net, err := NewNetwork(DefaultParams(), Options{Devices: 16, Seed: 8, PayloadBytes: 2, Fading: true})
 	if err != nil {
 		t.Fatal(err)
 	}

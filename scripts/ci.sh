@@ -46,8 +46,10 @@ echo "== go test: several widths =="
 # The channel's oracle bit-identity and the zero-allocation gates of
 # the synthesis, accumulate, decode, round and tenant-round paths — and
 # the pool's own resident-helper gates — must hold at any worker count,
-# not only at the host's: rerun those packages at 1, 2 and 4 procs.
-go test -count=1 -cpu 1,2,4 ./internal/air ./internal/synth ./internal/radio ./internal/core ./internal/sim ./internal/serve ./internal/pool
+# not only at the host's: rerun those packages at 1, 2 and 4 procs. The
+# root package rides along: the public facade steps the same
+# pool-parallel round path.
+go test -count=1 -cpu 1,2,4 . ./internal/air ./internal/synth ./internal/radio ./internal/core ./internal/sim ./internal/serve ./internal/pool
 
 echo "== cross-build: arm64 =="
 # Every AVX2 kernel needs a !amd64 stub; without one, non-amd64 builds
