@@ -196,7 +196,7 @@ func run(out io.Writer, o options) error {
 			s.SleepEvents, s.WakeEvents, s.SkippedRounds, s.AllLostRounds)
 		fmt.Fprintf(out, "recovery: %d AP-side losses, %d re-associations, mean latency %.1f rounds (p90 %.0f) over %d recoveries\n",
 			s.DevicesLostByAP, s.Reassociations, s.MeanRecoveryLatency(),
-			s.RecoveryLatencyQuantile(0.9), len(s.RecoveryLatencies))
+			s.RecoveryLatencyQuantile(0.9), s.Recoveries)
 		fmt.Fprintf(out, "losses: %d dropout, %d interference, %d fading, %d other; %d burst rounds, %d AP-down rounds\n",
 			s.LostToDropout, s.LostToInterference, s.LostToFading, s.LostToOther,
 			s.BurstRounds, s.APDownRounds)

@@ -10,17 +10,26 @@ import (
 )
 
 // The checkpoint is an append-only NDJSON journal: a header line
-// binding the file to one spec (name, digest, cell count), then one
-// line per completed cell. Appends are flushed and synced per cell, so
-// a killed campaign loses at most the cell that was mid-write — and a
-// torn final line is detected and truncated away on reopen, restoring
-// the append invariant before any new cell lands.
+// binding the file to one spec (name, digest, cell count) and to the
+// snapshot layout its entries use, then one line per completed cell.
+// Appends are flushed and synced per cell, so a killed campaign loses
+// at most the cell that was mid-write — and a torn final line is
+// detected and truncated away on reopen, restoring the append
+// invariant before any new cell lands.
+
+// ckptFormat names the sim.Snapshot layout journal entries carry. Bump
+// it whenever Snapshot gains or changes a counter: an entry of an older
+// layout decodes with the new counters at zero, and resuming from it
+// would merge those zeros into the artifact. Journals without a format
+// field predate the per-AP and trajectory counters (format 0).
+const ckptFormat = 1
 
 // ckptHeader is the journal's first line.
 type ckptHeader struct {
 	Campaign string `json:"campaign"`
 	SpecSHA  string `json:"spec_sha256"`
 	Cells    int    `json:"cells"`
+	Format   int    `json:"format"`
 }
 
 // ckptEntry is one completed cell.
@@ -50,7 +59,7 @@ func openCheckpoint(path string, spec *Spec, nCells int) (*checkpoint, map[int]s
 			return nil, nil, err
 		}
 		ck := &checkpoint{f: f}
-		if err := ck.writeLine(ckptHeader{Campaign: spec.Name, SpecSHA: digest, Cells: nCells}); err != nil {
+		if err := ck.writeLine(ckptHeader{Campaign: spec.Name, SpecSHA: digest, Cells: nCells, Format: ckptFormat}); err != nil {
 			f.Close()
 			return nil, nil, err
 		}
@@ -76,6 +85,9 @@ func openCheckpoint(path string, spec *Spec, nCells int) (*checkpoint, map[int]s
 			}
 			if h.SpecSHA != digest {
 				return nil, nil, fmt.Errorf("campaign: checkpoint %s was written by a different spec (campaign %q, %d cells); refusing to resume", path, h.Campaign, h.Cells)
+			}
+			if h.Format != ckptFormat {
+				return nil, nil, fmt.Errorf("campaign: checkpoint %s holds snapshot format %d, this build writes format %d; refusing to resume (delete it to rerun the campaign)", path, h.Format, ckptFormat)
 			}
 			first = false
 		} else {

@@ -3,9 +3,11 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -130,6 +132,40 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 	other.Devices = []int{2, 4}
 	if _, err := (&Runner{Spec: other, CheckpointPath: path}).Run(context.Background()); err == nil {
 		t.Fatal("resume against a foreign checkpoint succeeded")
+	}
+}
+
+// TestResumeRejectsOtherSnapshotFormat: a journal of the same spec but
+// another snapshot layout — here one written before the header carried
+// a format, whose entries lack the per-AP and trajectory counters —
+// must refuse to resume rather than merge zeroed counters.
+func TestResumeRejectsOtherSnapshotFormat(t *testing.T) {
+	spec := testSpec()
+	cells, err := spec.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "grid.ckpt")
+	for _, format := range []int{0, ckptFormat + 1} {
+		h, err := json.Marshal(ckptHeader{Campaign: spec.Name, SpecSHA: spec.Digest(), Cells: len(cells), Format: format})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if format == 0 {
+			// The old header shape: no format key at all.
+			h = bytes.Replace(h, []byte(`,"format":0`), nil, 1)
+		}
+		journal := append(h, "\n{\"index\":0,\"snapshot\":{\"rounds\":2}}\n"...)
+		if err := os.WriteFile(path, journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = (&Runner{Spec: spec, CheckpointPath: path}).Run(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "snapshot format") {
+			t.Fatalf("format %d journal: resume error %v, want a snapshot-format refusal", format, err)
+		}
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, journal) {
+			t.Fatalf("format %d journal was modified by the refused resume", format)
+		}
 	}
 }
 

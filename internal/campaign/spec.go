@@ -78,15 +78,25 @@ type Cell struct {
 	Config serve.DeploymentConfig `json:"config"`
 }
 
+// MaxCells bounds a campaign grid. The product of the axis lengths is
+// checked against it before anything is allocated, so an oversized
+// spec is an error, not an allocation.
+const MaxCells = 1 << 16
+
 // LoadSpec reads and expands-checks a spec file.
 func LoadSpec(path string) (*Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	return parseSpec(path, data)
+}
+
+// parseSpec decodes and expands-checks a spec document read from name.
+func parseSpec(name string, data []byte) (*Spec, error) {
 	var s Spec
 	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("campaign: parsing %s: %w", path, err)
+		return nil, fmt.Errorf("campaign: parsing %s: %w", name, err)
 	}
 	if _, err := s.Cells(); err != nil {
 		return nil, err
@@ -155,7 +165,16 @@ func (s *Spec) Cells() ([]Cell, error) {
 		}
 	}
 
-	cells := make([]Cell, 0, len(seeds)*len(channels)*len(rounds)*len(aps)*len(s.Devices))
+	// Each factor is at least 1, so stopping once the running product
+	// passes MaxCells also keeps it from overflowing.
+	total := 1
+	for _, n := range []int{len(seeds), len(channels), len(rounds), len(aps), len(s.Devices)} {
+		if total *= n; total > MaxCells {
+			return nil, fmt.Errorf("campaign: grid of %d seeds × %d channels × %d rounds × %d aps × %d devices exceeds %d cells",
+				len(seeds), len(channels), len(rounds), len(aps), len(s.Devices), MaxCells)
+		}
+	}
+	cells := make([]Cell, 0, total)
 	idx := 0
 	for _, seed := range seeds {
 		for _, ch := range channels {

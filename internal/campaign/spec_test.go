@@ -99,6 +99,31 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// TestSpecGridBound: a grid of exactly MaxCells cells expands; one
+// past it — or one whose axis product overflows int — is rejected
+// before anything is allocated.
+func TestSpecGridBound(t *testing.T) {
+	ones := func(n int) []int {
+		v := make([]int, n)
+		for i := range v {
+			v[i] = 1
+		}
+		return v
+	}
+	edge := &Spec{Name: "edge", Devices: ones(256), APs: ones(MaxCells / 256)}
+	if cells, err := edge.Cells(); err != nil || len(cells) != MaxCells {
+		t.Fatalf("MaxCells grid: %d cells, err %v", len(cells), err)
+	}
+	edge.Rounds = []int{1, 2}
+	if _, err := edge.Cells(); err == nil {
+		t.Fatal("grid of 2×MaxCells cells accepted")
+	}
+	huge := &Spec{Name: "huge", Devices: ones(3000), APs: ones(3000), Rounds: ones(3000), Seeds: make([]int64, 3000)}
+	if _, err := huge.Cells(); err == nil {
+		t.Fatal("grid of 3000^4 cells accepted")
+	}
+}
+
 func TestLoadSpecAndDigest(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "spec.json")

@@ -3,6 +3,7 @@ package deploy
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // AP placement optimization over room geometry and the wall map. The
@@ -15,17 +16,20 @@ import (
 // decode integrates.
 //
 // The search is deterministic — a pure function of (plan, budget,
-// device positions, k) with no randomness — in two phases:
+// device positions, k) with no randomness — in two phases over the
+// candidates: the half-room lattice (room centers, wall intersections
+// and wall midpoints, clamped to the floor's placeable band) plus the
+// k line-placement points.
 //
-//  1. Greedy coverage: candidates on the half-room lattice (room
-//     centers, wall intersections and wall midpoints, clamped to the
-//     floor's placeable band); each step adds the candidate that most
-//     lowers the fleet's summed PER proxy given the APs chosen so far.
-//  2. Swap refinement: best-improvement hill climbing — replace one
+//  1. Greedy coverage: each step adds the candidate that most lowers
+//     the fleet's summed PER proxy given the APs chosen so far.
+//  2. Swap refinement: best-improvement hill climbing from whichever of
+//     the greedy and the line placement scores lower — replace one
 //     chosen AP with one unchosen candidate while any swap lowers the
-//     score. (Simulated-annealing refinement over the continuous floor
-//     is the noted follow-on; the discrete climb already converges on
-//     this lattice.)
+//     score. Starting no worse than the line placement, the result
+//     never scores worse than it. (Simulated-annealing refinement over
+//     the continuous floor is the noted follow-on; the discrete climb
+//     already converges on this lattice.)
 
 // perKneeDB and perWidthDB shape the logistic PER surrogate
 // 1/(1+exp((snr−knee)/width)): a smooth, strictly decreasing function
@@ -94,7 +98,8 @@ func placementCandidates(plan FloorPlan) []Point {
 
 // OptimizeAPPlacement returns k AP positions tuned to this deployment's
 // device fleet (greedy coverage plus swap refinement over the half-room
-// lattice, scored by the combined-PER surrogate). It does not modify
+// lattice and the line points, scored by the combined-PER surrogate;
+// never worse than the line placement under it). It does not modify
 // the deployment; apply the result with PlaceAPsAt, or call
 // PlaceAPsOptimized to do both. Deterministic: equal deployments
 // produce equal placements.
@@ -107,7 +112,17 @@ func (d *Deployment) OptimizeAPPlacement(k int) []Point {
 		// good as any.
 		return APPositions(d.Plan, k)
 	}
+	// The line points join the candidates (once each), so the climb can
+	// start from the placement it must beat.
 	cands := placementCandidates(d.Plan)
+	line := make([]int, k)
+	for a, p := range APPositions(d.Plan, k) {
+		line[a] = slices.Index(cands, p)
+		if line[a] < 0 {
+			line[a] = len(cands)
+			cands = append(cands, p)
+		}
+	}
 	if k > len(cands) {
 		panic(fmt.Sprintf("deploy: OptimizeAPPlacement k = %d exceeds %d lattice candidates", k, len(cands)))
 	}
@@ -145,6 +160,18 @@ func (d *Deployment) OptimizeAPPlacement(k int) []Point {
 
 	chosen := make([]int, 0, k)
 	inUse := make([]bool, len(cands))
+	// place resets the chosen set (and comb) to the candidates cs.
+	place := func(cs []int) {
+		clear(comb)
+		clear(inUse)
+		chosen = append(chosen[:0], cs...)
+		for _, c := range cs {
+			inUse[c] = true
+			for i := 0; i < nDev; i++ {
+				comb[i] += lin[c*nDev+i]
+			}
+		}
+	}
 	for len(chosen) < k {
 		bestC, bestScore := -1, math.Inf(1)
 		for c := range cands {
@@ -162,10 +189,18 @@ func (d *Deployment) OptimizeAPPlacement(k int) []Point {
 		}
 	}
 
-	// Swap refinement: while some (chosen, candidate) swap improves the
-	// score, take the best one. The pass bound is a safety valve; the
-	// climb converges long before it on any real floor.
+	// Swap refinement from the better of the greedy and line starts
+	// (both scored from fresh sums): while some (chosen, candidate) swap
+	// improves the score, take the best one. The pass bound is a safety
+	// valve; the climb converges long before it on any real floor.
+	greedy := slices.Clone(chosen)
 	cur := scoreWith(-1, -1)
+	place(line)
+	if lineScore := scoreWith(-1, -1); lineScore < cur {
+		cur = lineScore
+	} else {
+		place(greedy)
+	}
 	for pass := 0; pass < 64; pass++ {
 		bestAt, bestC, bestScore := -1, -1, cur
 		for at, out := range chosen {

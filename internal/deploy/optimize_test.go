@@ -106,6 +106,19 @@ func TestOptimizeAPPlacement(t *testing.T) {
 			}
 		}
 	}
+	// Fleets where greedy coverage plus the lattice-only climb settled
+	// orders of magnitude above the line placement (e.g. seed 5, n 16:
+	// 0.0062 vs 1.2e-6); the line points are candidates and a start now.
+	for _, c := range []struct {
+		seed int64
+		n, k int
+	}{{5, 16, 2}, {2, 64, 2}, {6, 192, 2}, {8, 192, 2}, {3, 256, 2}, {23, 256, 2}} {
+		dep := Generate(DefaultOffice, radio.DefaultLinkBudget, c.n, 500e3, dsp.NewRand(c.seed))
+		opt := dep.PlacementPERProxy(dep.OptimizeAPPlacement(c.k))
+		if line := dep.PlacementPERProxy(APPositions(dep.Plan, c.k)); opt > line {
+			t.Errorf("seed %d n=%d k=%d: optimized proxy %v worse than line placement %v", c.seed, c.n, c.k, opt, line)
+		}
+	}
 }
 
 // TestPlaceAPsOptimizedAppliesPlacement: the apply wrapper links every

@@ -10,65 +10,15 @@ import (
 	"netscatter/internal/serve"
 )
 
-// TestCampaignCoversM1Grid: the declarative spec must expand to
-// exactly the (k, n) grid the hard-coded M1 sweep iterates.
-func TestCampaignCoversM1Grid(t *testing.T) {
-	spec := MultiAPSpec(1, false)
-	cells, err := spec.Cells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	type point struct{ k, n int }
-	got := map[point]bool{}
-	for _, c := range cells {
-		got[point{c.APs, c.Devices}] = true
-	}
-	for _, k := range []int{1, 2, 4} {
-		for _, n := range []int{16, 64, 128, 192} {
-			if !got[point{k, n}] {
-				t.Errorf("campaign grid missing M1 point k=%d n=%d", k, n)
-			}
-		}
-	}
-	if len(cells) != 12 {
-		t.Errorf("grid has %d cells, want 12", len(cells))
-	}
-}
-
-// TestCampaignExperimentShape runs the G1 experiment (quick) and
-// checks one row per grid cell with sane PER values.
-func TestCampaignExperimentShape(t *testing.T) {
-	res := runByID(t, "G1")
-	tab := res.Tables[0]
-	if want := 6; len(tab.Rows) != want { // quick: 2 device counts × 3 AP counts
-		t.Fatalf("G1 quick produced %d rows, want %d", len(tab.Rows), want)
-	}
-	for r := range tab.Rows {
-		per := cell(t, tab, r, 3)
-		if per < 0 || per > 1 {
-			t.Errorf("row %d PER %v out of range", r, per)
-		}
-	}
-}
-
 // TestCampaignM1ServeMatchesLocal is the acceptance gate for the
-// remote path: the M1 grid as a campaign spec, run in-process and
+// remote path: M1's grid and R2's churn grid, each run in-process and
 // against a live netscatter-serve instance, must merge to
-// byte-identical artifacts.
+// byte-identical artifacts — the per-AP and trajectory counters the
+// renderers read included.
 func TestCampaignM1ServeMatchesLocal(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full M1 grid against a live service; skipped in -short")
+		t.Skip("experiment grids against a live service; skipped in -short")
 	}
-	spec := MultiAPSpec(1, true)
-	local, err := (&campaign.Runner{Spec: spec}).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	localBytes, err := local.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	s := serve.New(serve.Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer func() {
@@ -76,15 +26,29 @@ func TestCampaignM1ServeMatchesLocal(t *testing.T) {
 		s.Close()
 	}()
 	exec := &campaign.RemoteExecutor{Client: &serve.Client{BaseURL: ts.URL, HTTPClient: ts.Client()}}
-	remote, err := (&campaign.Runner{Spec: spec, Workers: 3, Exec: exec}).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	remoteBytes, err := remote.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(localBytes, remoteBytes) {
-		t.Fatal("M1 campaign artifact differs between in-process and netscatter-serve execution")
+
+	for _, spec := range []*campaign.Spec{multiAPSpec(quickCfg()), churnSpec(quickCfg())} {
+		local, err := runSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		localBytes, err := local.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		remote, err := (&campaign.Runner{Spec: spec, Workers: 3, Exec: exec}).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		remoteBytes, err := remote.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(localBytes, remoteBytes) {
+			t.Fatalf("%s campaign artifact differs between in-process and netscatter-serve execution", spec.Name)
+		}
+		if spec.Name == "r2-churn" && local.Totals.Reassociations == 0 {
+			t.Fatal("churn grid compared no trajectory counters")
+		}
 	}
 }

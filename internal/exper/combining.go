@@ -3,11 +3,7 @@ package exper
 import (
 	"fmt"
 
-	"netscatter/internal/deploy"
-	"netscatter/internal/dsp"
-	"netscatter/internal/pool"
-	"netscatter/internal/radio"
-	"netscatter/internal/sim"
+	"netscatter/internal/campaign"
 )
 
 func init() {
@@ -19,106 +15,71 @@ func init() {
 	})
 }
 
-// runSoftCombining sweeps k ∈ {1, 2, 4, 8} APs under two placement
-// arms — the fixed line placement and the greedy combined-PER
-// optimizer — with soft (summed power spectra) cross-AP combining
-// enabled. Each row reports the soft PER next to frame-level selection
-// combining and the best single AP, so the table reads as a ladder:
-// soft ≤ selection ≤ best-AP, with the soft column strictly below
-// selection wherever summing spectra rescues frames every individual
-// AP lost.
-func runSoftCombining(cfg Config) (*Result, error) {
-	ks := []int{1, 2, 4, 8}
-	ns := []int{64, 128, 192}
-	trials := 2
+// softCombiningSpecs are M2's two placement arms over one grid, with
+// soft (summed power spectra) cross-AP combining on: the fixed line
+// placement, and the greedy combined-PER optimizer. The arms differ in
+// name and placement only, so cell i of each runs the same fleet.
+func softCombiningSpecs(cfg Config) (line, optimized *campaign.Spec) {
+	line = &campaign.Spec{
+		Name:          "m2-line",
+		PayloadBytes:  4,
+		SoftCombining: true,
+		Devices:       []int{64, 128, 192},
+		APs:           []int{1, 2, 4, 8},
+		Rounds:        []int{2},
+		Seeds:         []int64{cfg.Seed},
+	}
 	if cfg.Quick {
-		ks = []int{1, 2, 4}
-		ns = []int{192}
-		trials = 1
+		line.Devices, line.APs, line.Rounds = []int{192}, []int{1, 2, 4}, []int{1}
 	}
+	opt := *line
+	opt.Name = "m2-optimized"
+	opt.OptimizePlacement = true
+	return line, &opt
+}
 
-	scfg := sim.DefaultConfig()
-	scfg.PayloadBytes = 4
-
+// runSoftCombining reports each cell's soft PER next to frame-level
+// selection combining and the best single AP, so the table reads as a
+// ladder: soft ≤ selection ≤ best-AP, with the soft column strictly
+// below selection wherever summing spectra rescues frames every
+// individual AP lost. Rows run per k: the line arm's devices, then the
+// optimized arm's.
+func runSoftCombining(cfg Config) (*Result, error) {
+	lineSpec, optSpec := softCombiningSpecs(cfg)
 	arms := []struct {
-		name  string
-		place func(d *deploy.Deployment, k int)
-	}{
-		{"line", func(d *deploy.Deployment, k int) { d.PlaceAPs(k) }},
-		{"optimized", func(d *deploy.Deployment, k int) { d.PlaceAPsOptimized(k) }},
+		name string
+		spec *campaign.Spec
+		art  *campaign.Artifact
+	}{{name: "line", spec: lineSpec}, {name: "optimized", spec: optSpec}}
+	for i := range arms {
+		art, err := runSpec(arms[i].spec)
+		if err != nil {
+			return nil, err
+		}
+		arms[i].art = art
 	}
 
-	type unitOut struct {
-		stats sim.MultiRoundStats
-		err   error
-	}
 	res := &Result{ID: "M2", Title: "Soft cross-AP spectral combining (summed power spectra) vs selection"}
 	tab := Table{
 		Name: "PER vs devices at k APs, soft combining on",
 		Columns: []string{"APs", "placement", "devices", "soft PER", "selection PER",
 			"best-AP PER", "soft frames gained", "placement proxy"},
 	}
-
-	for _, k := range ks {
+	nd := len(lineSpec.Devices)
+	for start := 0; start < len(arms[0].art.Results); start += nd {
 		for _, arm := range arms {
-			// One deployment per (k, arm): AP placement mutates the device
-			// links, so it happens serially before the (n, trial) units fan
-			// out over the deployment read-only.
-			rng := dsp.NewRand(cfg.Seed)
-			dep := deploy.Generate(deploy.DefaultOffice, radio.DefaultLinkBudget, 256, 500e3, rng)
-			arm.place(dep, k)
-			proxy := dep.PlacementPERProxy(dep.APs)
-
-			outs := make([]unitOut, len(ns)*trials)
-			pool.ForEach(len(outs), func(u int) {
-				n := ns[u/trials]
-				trial := u % trials
-				net, err := sim.NewMultiAPNetwork(scfg, dep, k, n, cfg.Seed*1000+int64(n)*10+int64(trial))
-				if err != nil {
-					outs[u].err = err
-					return
-				}
-				net.SetSoftCombining(true)
-				stats, err := net.RunRound(n)
-				if err != nil {
-					outs[u].err = err
-					return
-				}
-				// PerAP aliases network arenas; keep a copy instead.
-				outs[u].stats = stats
-				outs[u].stats.PerAP = append([]sim.RoundStats(nil), stats.PerAP...)
-			})
-			for _, o := range outs {
-				if o.err != nil {
-					return nil, o.err
-				}
-			}
-
-			for nIdx, n := range ns {
-				var softPER, selPER, bestPER, gained float64
-				for trial := 0; trial < trials; trial++ {
-					o := outs[nIdx*trials+trial]
-					softPER += o.stats.Soft.PER()
-					selPER += o.stats.Combined.PER()
-					best := 1.0
-					for _, s := range o.stats.PerAP {
-						if per := s.PER(); per < best {
-							best = per
-						}
-					}
-					bestPER += best
-					gained += float64(o.stats.SoftFramesGained())
-				}
-				ft := float64(trials)
+			for _, cr := range arm.art.Results[start : start+nd] {
+				s := cr.Snapshot
+				dep := cr.Config.Geometry()
 				tab.Rows = append(tab.Rows, []string{
-					fmt.Sprintf("%d", k),
+					fmt.Sprintf("%d", cr.APs),
 					arm.name,
-					fmt.Sprintf("%d", n),
-					fmt.Sprintf("%.4f", softPER/ft),
-					fmt.Sprintf("%.4f", selPER/ft),
-					fmt.Sprintf("%.4f", bestPER/ft),
-					fmt.Sprintf("%.1f", gained/ft),
-					fmt.Sprintf("%.4f", proxy),
+					fmt.Sprintf("%d", cr.Devices),
+					fmt.Sprintf("%.4f", lossRate(s.SoftFramesOK, s.Devices)),
+					fmt.Sprintf("%.4f", s.PER),
+					fmt.Sprintf("%.4f", lossRate(s.BestAPFramesOK, s.Devices)),
+					fmt.Sprintf("%.1f", float64(s.SoftFramesOK-s.FramesOK)/float64(s.Rounds)),
+					fmt.Sprintf("%.4f", dep.PlacementPERProxy(dep.APs)),
 				})
 			}
 		}
@@ -126,7 +87,7 @@ func runSoftCombining(cfg Config) (*Result, error) {
 	res.Tables = append(res.Tables, tab)
 	res.Notes = append(res.Notes,
 		"soft = non-coherent power combining: per-AP |X[k]|^2 spectra summed bin-wise, decoded once, then CRC-preferring selection over per-AP decodes plus the combined decode",
-		"selection = PR5's frame-level cross-AP selection combining (the M1 baseline)",
-		"optimized placement = greedy k-center + swap refinement over the half-room lattice, scored by the combined-PER surrogate (lower proxy is better)")
+		"selection = frame-level cross-AP selection combining (the M1 baseline)",
+		"optimized placement = greedy k-center + swap refinement over the half-room lattice and the line points, scored by the combined-PER surrogate (lower proxy is better)")
 	return res, nil
 }

@@ -36,7 +36,7 @@ func cell(t *testing.T, tab Table, row, col int) float64 {
 func TestRegistryComplete(t *testing.T) {
 	// One experiment per paper artifact listed in DESIGN.md.
 	want := []string{"T1", "C1", "F4", "F7", "F8", "F9", "F12", "F14A", "F14B",
-		"F15A", "F15B", "F16", "F17", "F18", "F19", "S1", "B1", "G1", "M1", "M2", "R1", "R2"}
+		"F15A", "F15B", "F16", "F17", "F18", "F19", "S1", "B1", "M1", "M2", "R1", "R2"}
 	for _, id := range want {
 		if _, ok := ByID(id); !ok {
 			t.Errorf("experiment %s missing", id)

@@ -3,12 +3,9 @@ package exper
 import (
 	"fmt"
 
-	"netscatter/internal/chirp"
-	"netscatter/internal/deploy"
-	"netscatter/internal/dsp"
-	"netscatter/internal/pool"
+	"netscatter/internal/campaign"
 	"netscatter/internal/radio"
-	"netscatter/internal/sim"
+	"netscatter/internal/serve"
 )
 
 func init() {
@@ -26,88 +23,74 @@ func init() {
 	})
 }
 
-// trajectorySimConfig is the shared substrate for the robustness axes:
-// a mid-size code book keeps multi-round sweeps cheap while leaving the
-// near-far machinery intact.
-func trajectorySimConfig() sim.Config {
-	cfg := sim.DefaultConfig()
-	cfg.Params = chirp.Params{SF: 8, BW: 500e3, Oversample: 1}
-	cfg.PayloadBytes = 2
-	return cfg
+// The robustness sweeps share one substrate: a mid-size code book
+// (SF 8, 500 kHz) and 2-byte payloads keep multi-round trajectories
+// cheap while leaving the near-far machinery intact.
+const (
+	trajectorySF           = 8
+	trajectoryPayloadBytes = 2
+)
+
+// doppler is one R1 channel: Jakes fading at fdHz plus an oscillator
+// random walk of driftHz per round. (0, 0) is the retained oracle: a
+// trajectory with every process off, bit-identical to plain rounds.
+func doppler(fdHz, driftHz float64) campaign.ChannelSpec {
+	return campaign.ChannelSpec{
+		Name:      fmt.Sprintf("doppler %g Hz, drift %g Hz", fdHz, driftHz),
+		Adversity: &serve.AdversityConfig{DopplerHz: fdHz, CFODriftHz: driftHz},
+	}
 }
 
-// runTrajectoryDoppler sweeps fading coherence (via the Jakes model at
-// the round period) and oscillator random-walk drift on a single-AP
-// deployment: each point evolves one fleet over a multi-round
-// trajectory and reports PER over time, losses attributed to fading,
-// and how often the power rule benched a device. This is the axis the
-// paper's static-channel evaluation leaves open: how fast the channel
-// may move before the reciprocity proxy goes stale.
-func runTrajectoryDoppler(cfg Config) (*Result, error) {
-	type point struct{ dopplerHz, driftHz float64 }
-	points := []point{{0, 0}, {2, 0}, {5, 0}, {10, 0}, {5, 2}}
-	nDev, rounds := 32, 10
+// dopplerSpec is R1's grid: one single-AP fleet evolved over a
+// multi-round trajectory at each fading coherence (Jakes model at the
+// round period) and oscillator drift.
+func dopplerSpec(cfg Config) *campaign.Spec {
+	s := &campaign.Spec{
+		Name:         "r1-doppler",
+		SF:           trajectorySF,
+		PayloadBytes: trajectoryPayloadBytes,
+		Devices:      []int{32},
+		Rounds:       []int{10},
+		Seeds:        []int64{cfg.Seed},
+		Channels:     []campaign.ChannelSpec{doppler(0, 0), doppler(2, 0), doppler(5, 0), doppler(10, 0), doppler(5, 2)},
+	}
 	if cfg.Quick {
-		points = []point{{0, 0}, {5, 0}}
-		nDev, rounds = 16, 5
+		s.Devices, s.Rounds = []int{16}, []int{5}
+		s.Channels = []campaign.ChannelSpec{doppler(0, 0), doppler(5, 0)}
 	}
+	return s
+}
 
-	scfg := trajectorySimConfig()
-	period := scfg.Timing.NetScatterRoundSeconds(scfg.Params, scfg.Query, scfg.PayloadBytes)
-
-	type unitOut struct {
-		stats sim.TrajectoryStats
-		err   error
+// runTrajectoryDoppler reports PER, losses attributed to fading, and
+// how often the power rule benched a device at each point. This is the
+// axis the paper's static-channel evaluation leaves open: how fast the
+// channel may move before the reciprocity proxy goes stale.
+func runTrajectoryDoppler(cfg Config) (*Result, error) {
+	spec := dopplerSpec(cfg)
+	art, err := runSpec(spec)
+	if err != nil {
+		return nil, err
 	}
-	outs := make([]unitOut, len(points))
-	pool.ForEach(len(outs), func(u int) {
-		rng := dsp.NewRand(cfg.Seed)
-		dep := deploy.Generate(deploy.DefaultOffice, radio.DefaultLinkBudget, nDev, scfg.Params.BW, rng)
-		dep.PlaceAPs(1)
-		net, err := sim.NewMultiAPNetwork(scfg, dep, 1, nDev, cfg.Seed+int64(u))
-		if err != nil {
-			outs[u].err = err
-			return
-		}
-		tr, err := sim.NewTrajectory(net, sim.TrajectoryConfig{
-			Rounds:     rounds,
-			Seed:       cfg.Seed*100 + int64(u),
-			DopplerHz:  points[u].dopplerHz,
-			CFODriftHz: points[u].driftHz,
-		})
-		if err != nil {
-			outs[u].err = err
-			return
-		}
-		if _, err := tr.Run(); err != nil {
-			outs[u].err = err
-			return
-		}
-		outs[u].stats = *tr.Stats()
-	})
-
 	res := &Result{ID: "R1", Title: "PER vs Doppler / drift over a trajectory"}
 	tab := Table{
-		Name:    fmt.Sprintf("%d devices, %d rounds, 1 AP", nDev, rounds),
-		Columns: []string{"doppler Hz", "rho", "drift Hz/rnd", "mean PER", "lost fading", "skipped", "reassocs"},
+		Name:    fmt.Sprintf("%d devices, %d rounds, 1 AP", spec.Devices[0], spec.Rounds[0]),
+		Columns: []string{"doppler Hz", "rho", "drift Hz/rnd", "PER", "lost fading", "skipped", "reassocs"},
 	}
-	for u, pt := range points {
-		if outs[u].err != nil {
-			return nil, outs[u].err
-		}
-		// Effective per-round correlation the trajectory ran with:
-		// doppler 0 disables evolved fading entirely (the oracle), so the
+	for _, cr := range art.Results {
+		s, adv := cr.Snapshot, cr.Config.Adversity
+		// Effective per-round correlation the trajectory ran with, at
+		// its round period (the cell's air time per round): doppler 0
+		// disables evolved fading entirely (the oracle), so the
 		// static-channel rho = 1 never applies.
 		rho := 0.0
-		if pt.dopplerHz > 0 {
-			rho = radio.JakesCorrelation(pt.dopplerHz, period)
+		if adv.DopplerHz > 0 {
+			rho = radio.JakesCorrelation(adv.DopplerHz, s.SimSeconds/float64(s.Rounds))
 		}
-		s := outs[u].stats
 		tab.Rows = append(tab.Rows, []string{
-			f(pt.dopplerHz),
+			f(adv.DopplerHz),
 			fmt.Sprintf("%.3f", rho),
-			f(pt.driftHz),
-			fmt.Sprintf("%.3f", s.MeanPER()),
+			f(adv.CFODriftHz),
+			fmt.Sprintf("%.3f", s.PER),
 			fmt.Sprintf("%d", s.LostToFading),
 			fmt.Sprintf("%d", s.SkippedRounds),
 			fmt.Sprintf("%d", s.Reassociations),
@@ -116,77 +99,64 @@ func runTrajectoryDoppler(cfg Config) (*Result, error) {
 	res.Tables = append(res.Tables, tab)
 	res.Notes = append(res.Notes,
 		"rho = J0(2π·fD·T_round): the AR(1) per-round fading correlation at this round period",
-		"doppler 0 is the retained oracle: the trajectory is bit-identical to independent rounds")
+		"doppler 0 is the retained oracle: the trajectory is bit-identical to independent rounds",
+		"PER pools every device-round of the trajectory")
 	return res, nil
 }
 
-// runTrajectoryChurn sweeps device duty-cycling rates at k ∈ {1, 2, 4}
-// APs and reports the recovery pipeline's throughput: AP-side
-// timeouts, completed re-associations, and the latency distribution
-// from outage to the next CRC-valid frame. Densifying the
-// infrastructure does not shorten the protocol's recovery path (that
-// is handshake-bound), but it keeps PER down while devices churn.
-func runTrajectoryChurn(cfg Config) (*Result, error) {
-	ks := []int{1, 2, 4}
-	churns := []float64{0.05, 0.15, 0.3}
-	nDev, rounds := 24, 14
+// churn is one R2 channel: devices sleep with sleepProb per round and
+// wake with probability 0.5.
+func churn(sleepProb float64) campaign.ChannelSpec {
+	return campaign.ChannelSpec{
+		Name:      fmt.Sprintf("sleep %g", sleepProb),
+		Adversity: &serve.AdversityConfig{SleepProb: sleepProb, WakeProb: 0.5},
+	}
+}
+
+// churnSpec is R2's grid: device duty-cycling rates at k ∈ {1, 2, 4}
+// APs. The quick trajectory is still long enough for full sleep →
+// timeout → wake → re-associate cycles to complete at heavy churn.
+func churnSpec(cfg Config) *campaign.Spec {
+	s := &campaign.Spec{
+		Name:         "r2-churn",
+		SF:           trajectorySF,
+		PayloadBytes: trajectoryPayloadBytes,
+		Devices:      []int{24},
+		APs:          []int{1, 2, 4},
+		Rounds:       []int{14},
+		Seeds:        []int64{cfg.Seed},
+		Channels:     []campaign.ChannelSpec{churn(0.05), churn(0.15), churn(0.3)},
+	}
 	if cfg.Quick {
-		// Long enough for full sleep → timeout → wake → re-associate
-		// cycles to complete at heavy churn.
-		ks = []int{1, 2}
-		churns = []float64{0.3}
-		nDev, rounds = 12, 12
+		s.Devices, s.APs, s.Rounds = []int{12}, []int{1, 2}, []int{12}
+		s.Channels = []campaign.ChannelSpec{churn(0.3)}
 	}
+	return s
+}
 
-	scfg := trajectorySimConfig()
-
-	type unitOut struct {
-		stats sim.TrajectoryStats
-		err   error
+// runTrajectoryChurn reports the recovery pipeline's throughput at each
+// churn rate and AP count: AP-side timeouts, completed
+// re-associations, and the latency distribution from outage to the
+// next CRC-valid frame. Densifying the infrastructure does not shorten
+// the protocol's recovery path (that is handshake-bound), but it keeps
+// PER down while devices churn.
+func runTrajectoryChurn(cfg Config) (*Result, error) {
+	spec := churnSpec(cfg)
+	art, err := runSpec(spec)
+	if err != nil {
+		return nil, err
 	}
-	outs := make([]unitOut, len(ks)*len(churns))
-	pool.ForEach(len(outs), func(u int) {
-		k := ks[u/len(churns)]
-		churn := churns[u%len(churns)]
-		rng := dsp.NewRand(cfg.Seed)
-		dep := deploy.Generate(deploy.DefaultOffice, radio.DefaultLinkBudget, nDev, scfg.Params.BW, rng)
-		dep.PlaceAPs(k)
-		net, err := sim.NewMultiAPNetwork(scfg, dep, k, nDev, cfg.Seed+int64(u))
-		if err != nil {
-			outs[u].err = err
-			return
-		}
-		tr, err := sim.NewTrajectory(net, sim.TrajectoryConfig{
-			Rounds:    rounds,
-			Seed:      cfg.Seed*100 + int64(u),
-			SleepProb: churn,
-			WakeProb:  0.5,
-		})
-		if err != nil {
-			outs[u].err = err
-			return
-		}
-		if _, err := tr.Run(); err != nil {
-			outs[u].err = err
-			return
-		}
-		outs[u].stats = *tr.Stats()
-	})
-
 	res := &Result{ID: "R2", Title: "Recovery latency vs churn at k APs"}
 	tab := Table{
-		Name:    fmt.Sprintf("%d devices, %d rounds, wake prob 0.5", nDev, rounds),
-		Columns: []string{"APs", "sleep prob", "mean PER", "lost byAP", "reassocs", "mean rec rnds", "p90 rec rnds"},
+		Name:    fmt.Sprintf("%d devices, %d rounds, wake prob 0.5", spec.Devices[0], spec.Rounds[0]),
+		Columns: []string{"APs", "sleep prob", "PER", "lost byAP", "reassocs", "mean rec rnds", "p90 rec rnds"},
 	}
-	for u := range outs {
-		if outs[u].err != nil {
-			return nil, outs[u].err
-		}
-		s := outs[u].stats
+	for _, cr := range art.Results {
+		s := cr.Snapshot
 		tab.Rows = append(tab.Rows, []string{
-			fmt.Sprintf("%d", ks[u/len(churns)]),
-			f(churns[u%len(churns)]),
-			fmt.Sprintf("%.3f", s.MeanPER()),
+			fmt.Sprintf("%d", cr.APs),
+			f(cr.Config.Adversity.SleepProb),
+			fmt.Sprintf("%.3f", s.PER),
 			fmt.Sprintf("%d", s.DevicesLostByAP),
 			fmt.Sprintf("%d", s.Reassociations),
 			fmt.Sprintf("%.1f", s.MeanRecoveryLatency()),
@@ -196,6 +166,7 @@ func runTrajectoryChurn(cfg Config) (*Result, error) {
 	res.Tables = append(res.Tables, tab)
 	res.Notes = append(res.Notes,
 		"recovery latency counts rounds from the outage event (sleep/skip/loss) to the next CRC-valid frame",
-		"sleepers keep stale power state; the AP frees their slot after its silence budget")
+		"sleepers keep stale power state; the AP frees their slot after its silence budget",
+		"PER pools every device-round of the trajectory")
 	return res, nil
 }

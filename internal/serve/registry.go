@@ -170,13 +170,7 @@ type World struct {
 // cmd/netscatter-sim all build their worlds here, so equal configs step
 // bit-identical rounds wherever they run.
 func BuildWorld(cfg DeploymentConfig) (World, error) {
-	rng := dsp.NewRand(cfg.Seed)
-	dep := deploy.Generate(deploy.DefaultOffice, radio.DefaultLinkBudget, cfg.Devices, cfg.BandwidthHz, rng)
-	if cfg.OptimizePlacement {
-		dep.PlaceAPsOptimized(cfg.APs)
-	} else {
-		dep.PlaceAPs(cfg.APs)
-	}
+	dep := cfg.Geometry()
 	sc := sim.DefaultConfig()
 	sc.Params = chirp.Params{SF: cfg.SF, BW: cfg.BandwidthHz, Oversample: 1}
 	sc.Skip = cfg.Skip
@@ -193,6 +187,20 @@ func BuildWorld(cfg DeploymentConfig) (World, error) {
 		}
 	}
 	return w, nil
+}
+
+// Geometry generates the config's deployment (defaults applied): the
+// fleet drawn from Seed with its APs placed — the geometry BuildWorld
+// associates the network over.
+func (c DeploymentConfig) Geometry() *deploy.Deployment {
+	c = c.withDefaults()
+	dep := deploy.Generate(deploy.DefaultOffice, radio.DefaultLinkBudget, c.Devices, c.BandwidthHz, dsp.NewRand(c.Seed))
+	if c.OptimizePlacement {
+		dep.PlaceAPsOptimized(c.APs)
+	} else {
+		dep.PlaceAPs(c.APs)
+	}
+	return dep
 }
 
 // Step runs the world's next round: a trajectory step under adversity,

@@ -31,12 +31,14 @@ import (
 // to the selection pool. With soft combining off, Soft is zero. Decodes
 // holds each AP's frame decode of the round, indexed by device (nil for
 // an AP that was down). PerAP and Decodes alias network-owned storage,
-// valid until the next round.
+// valid until the next round. Events carries a trajectory round's
+// protocol events and loss attribution (zero for a plain round).
 type MultiRoundStats struct {
 	Combined RoundStats
 	Soft     RoundStats
 	PerAP    []RoundStats
 	Decodes  []*core.FrameDecode
+	Events   TrajectoryEvents
 }
 
 // SoftFramesGained returns how many CRC-valid frames soft spectral
@@ -48,13 +50,18 @@ func (m MultiRoundStats) SoftFramesGained() int {
 // DiversityFramesGained returns how many CRC-valid frames the
 // aggregation added over the best single AP.
 func (m MultiRoundStats) DiversityFramesGained() int {
+	return m.Combined.FramesOK - m.bestAPFramesOK()
+}
+
+// bestAPFramesOK returns the best single AP's CRC-valid frame count.
+func (m MultiRoundStats) bestAPFramesOK() int {
 	best := 0
 	for _, s := range m.PerAP {
 		if s.FramesOK > best {
 			best = s.FramesOK
 		}
 	}
-	return m.Combined.FramesOK - best
+	return best
 }
 
 // MultiAPNetwork is a deployed NetScatter network heard by k APs,

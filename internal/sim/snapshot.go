@@ -38,6 +38,17 @@ type Snapshot struct {
 	SoftFramesOK int64 `json:"soft_frames_ok,omitempty"`
 	SoftRounds   int   `json:"soft_rounds,omitempty"`
 
+	// Per-AP totals: the best single AP's CRC-valid frames (the maximum
+	// over APs, summed over rounds) and every AP's CRC-valid frames
+	// (summed over APs and rounds) — the baselines cross-AP combining
+	// is measured against.
+	BestAPFramesOK int64 `json:"best_ap_frames_ok"`
+	PerAPFramesOK  int64 `json:"per_ap_frames_ok"`
+
+	// Trajectory outcome counters; zero for rounds stepped without
+	// adversity.
+	TrajectoryEvents
+
 	// Derived rates (filled by Snapshot()).
 	PER        float64 `json:"per"`
 	BER        float64 `json:"ber"`
@@ -60,6 +71,9 @@ func (s *Snapshot) Merge(o Snapshot) {
 	s.SimSeconds += o.SimSeconds
 	s.SoftFramesOK += o.SoftFramesOK
 	s.SoftRounds += o.SoftRounds
+	s.BestAPFramesOK += o.BestAPFramesOK
+	s.PerAPFramesOK += o.PerAPFramesOK
+	s.TrajectoryEvents.add(&o.TrajectoryEvents)
 	s.derive()
 }
 
@@ -88,11 +102,20 @@ type Accumulator struct {
 }
 
 // AddMulti folds one multi-AP round: the combined outcome counts as
-// the round, and the soft-combining outcome (when the round carried
-// one) accumulates alongside.
+// the round; the per-AP totals, the round's trajectory events and the
+// soft-combining outcome (when the round carried one) accumulate
+// alongside.
 func (a *Accumulator) AddMulti(m MultiRoundStats, soft bool) {
+	best := m.bestAPFramesOK()
+	perAP := 0
+	for _, s := range m.PerAP {
+		perAP += s.FramesOK
+	}
 	a.mu.Lock()
 	a.addLocked(m.Combined)
+	a.s.BestAPFramesOK += int64(best)
+	a.s.PerAPFramesOK += int64(perAP)
+	a.s.TrajectoryEvents.add(&m.Events)
 	if soft {
 		a.s.SoftFramesOK += int64(m.Soft.FramesOK)
 		a.s.SoftRounds++

@@ -3,6 +3,8 @@ package sim
 import (
 	"encoding/json"
 	"math"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -95,13 +97,35 @@ func TestAccumulatorConcurrent(t *testing.T) {
 	}
 }
 
-// TestAccumulatorMulti: AddMulti folds the combined round and tracks
-// soft totals only when the round carried a soft outcome.
+// eventsFixture is one round's trajectory events with every counter
+// distinct and nonzero, so a dropped or crossed field shows.
+func eventsFixture() TrajectoryEvents {
+	e := TrajectoryEvents{
+		SkippedRounds:      1,
+		Reassociations:     2,
+		DevicesLostByAP:    3,
+		LostToDropout:      4,
+		LostToInterference: 5,
+		LostToFading:       6,
+		LostToOther:        7,
+	}
+	for _, lat := range []int{0, 2, 2, 9, RecoveryBuckets - 1, 40} {
+		e.recovered(lat)
+	}
+	return e
+}
+
+// TestAccumulatorMulti: AddMulti folds the combined round, the per-AP
+// totals and the round's trajectory events, and tracks soft totals only
+// when the round carried a soft outcome; Merge sums every counter the
+// same way.
 func TestAccumulatorMulti(t *testing.T) {
 	var a Accumulator
 	m := MultiRoundStats{
 		Combined: RoundStats{Devices: 4, Detected: 3, FramesOK: 2, TotalBits: 96, ScheduledBits: 192, RoundSecs: 0.01},
 		Soft:     RoundStats{Devices: 4, Detected: 4, FramesOK: 3, TotalBits: 96, ScheduledBits: 192},
+		PerAP:    []RoundStats{{Devices: 4, FramesOK: 1}, {Devices: 4, FramesOK: 2}, {Devices: 4}},
+		Events:   eventsFixture(),
 	}
 	a.AddMulti(m, true)
 	a.AddMulti(m, false)
@@ -111,6 +135,61 @@ func TestAccumulatorMulti(t *testing.T) {
 	}
 	if s.SoftRounds != 1 || s.SoftFramesOK != 3 {
 		t.Fatalf("soft fold wrong: %+v", s)
+	}
+	if s.BestAPFramesOK != 4 || s.PerAPFramesOK != 6 {
+		t.Fatalf("per-AP fold wrong: best %d, all %d", s.BestAPFramesOK, s.PerAPFramesOK)
+	}
+	want := eventsFixture()
+	want.add(&m.Events)
+	if s.TrajectoryEvents != want {
+		t.Fatalf("events fold %+v, want %+v", s.TrajectoryEvents, want)
+	}
+	if e := s.TrajectoryEvents; e.Recoveries != 12 || e.RecoveryRounds != 2*(0+2+2+9+15+40) ||
+		e.RecoveryHist[2] != 4 || e.RecoveryHist[RecoveryBuckets-1] != 4 {
+		t.Fatalf("recovery counters wrong: %+v", e)
+	}
+
+	// Merge of the two one-round halves equals the two-round fold.
+	var x, y Accumulator
+	x.AddMulti(m, true)
+	y.AddMulti(m, false)
+	merged := x.Snapshot()
+	merged.Merge(y.Snapshot())
+	if merged != s {
+		t.Fatalf("merged %+v != folded %+v", merged, s)
+	}
+}
+
+// TestRecoveryLatencyHistogram: the histogram's mean and quantiles
+// equal those of the sorted latency list while every latency sits
+// below the open bucket, and the open bucket reads as its bound.
+func TestRecoveryLatencyHistogram(t *testing.T) {
+	var e TrajectoryEvents
+	lats := []int{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
+	for _, l := range lats {
+		e.recovered(l)
+	}
+	sorted := append([]int(nil), lats...)
+	sort.Ints(sorted)
+	for _, q := range []float64{0, 0.1, 0.5, 0.9, 1} {
+		idx := max(0, int(math.Ceil(q*float64(len(sorted))))-1)
+		if got := e.RecoveryLatencyQuantile(q); got != float64(sorted[idx]) {
+			t.Errorf("q=%v: histogram quantile %v, list quantile %v", q, got, sorted[idx])
+		}
+	}
+	if got, want := e.MeanRecoveryLatency(), 44.0/11; got != want {
+		t.Errorf("mean %v, want %v", got, want)
+	}
+	e.recovered(100)
+	if got := e.RecoveryLatencyQuantile(1); got != RecoveryBuckets-1 {
+		t.Errorf("open-bucket quantile %v, want %d", got, RecoveryBuckets-1)
+	}
+	if got, want := e.MeanRecoveryLatency(), 144.0/12; got != want {
+		t.Errorf("mean with a long recovery %v, want exact %v", got, want)
+	}
+	var none TrajectoryEvents
+	if none.MeanRecoveryLatency() != 0 || none.RecoveryLatencyQuantile(0.9) != 0 {
+		t.Error("empty histogram must read 0")
 	}
 }
 
@@ -132,10 +211,17 @@ func TestAccumulatorAddAllocs(t *testing.T) {
 // derived rates present.
 func TestSnapshotJSON(t *testing.T) {
 	var a Accumulator
-	for _, r := range statsFixture(50) {
-		a.AddMulti(MultiRoundStats{Combined: r}, false)
+	for i, r := range statsFixture(50) {
+		m := MultiRoundStats{Combined: r, Soft: r, PerAP: []RoundStats{r, r}}
+		if i%3 == 0 {
+			m.Events = eventsFixture()
+		}
+		a.AddMulti(m, i%2 == 0)
 	}
 	s := a.Snapshot()
+	if s.SoftRounds == 0 || s.BestAPFramesOK == 0 || s.PerAPFramesOK == 0 || s.Recoveries == 0 {
+		t.Fatalf("fixture left a counter at zero: %+v", s)
+	}
 	data, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
@@ -146,6 +232,21 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 	if back != s {
 		t.Fatalf("JSON round-trip changed the snapshot: %+v != %+v", back, s)
+	}
+	for _, key := range []string{`"best_ap_frames_ok"`, `"per_ap_frames_ok"`, `"skipped_rounds"`,
+		`"reassociations"`, `"devices_lost_by_ap"`, `"lost_to_dropout"`, `"lost_to_interference"`,
+		`"lost_to_fading"`, `"lost_to_other"`, `"recoveries"`, `"recovery_rounds"`, `"recovery_hist"`} {
+		if !strings.Contains(string(data), key) {
+			t.Errorf("snapshot JSON lacks %s", key)
+		}
+	}
+	// A snapshot without trajectory events carries no event keys.
+	plain, err := json.Marshal(Snapshot{Rounds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(plain), "recovery") || strings.Contains(string(plain), "lost_to") {
+		t.Errorf("event-free snapshot JSON carries event keys: %s", plain)
 	}
 	if math.IsNaN(s.PER) || math.IsNaN(s.BER) || math.IsNaN(s.GoodputBps) {
 		t.Fatalf("derived rates not finite: %+v", s)
@@ -179,6 +280,9 @@ func TestAccumulatorLiveRounds(t *testing.T) {
 		want.TotalBits += s.TotalBits
 		want.ScheduledBits += s.ScheduledBits
 		want.SimSeconds += s.SimSeconds
+		want.BestAPFramesOK += s.BestAPFramesOK
+		want.PerAPFramesOK += s.PerAPFramesOK
+		want.TrajectoryEvents.add(&s.TrajectoryEvents)
 	}
 	want.derive()
 

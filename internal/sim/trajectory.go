@@ -17,7 +17,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"netscatter/internal/air"
 	"netscatter/internal/chirp"
@@ -31,8 +30,8 @@ import (
 // every process — the configuration whose trajectory is the RunRound
 // oracle.
 type TrajectoryConfig struct {
-	// Rounds is the trajectory length Run executes (Step may be called
-	// beyond it; pre-sized stats arenas then grow).
+	// Rounds is the expected trajectory length: it pre-sizes the
+	// per-round series (Step may be called beyond it; they then grow).
 	Rounds int
 	// Seed keys every adversity stream. Independent of the network's
 	// construction seed.
@@ -102,9 +101,8 @@ type TrajectoryConfig struct {
 	// that grows without bound in the round count. Long-lived hosts
 	// (netscatter-serve) step trajectories indefinitely and keep their
 	// own bounded aggregates; with NoSeries set, every scalar counter,
-	// the loss attribution and the (event-bounded) recovery-latency
-	// list keep accumulating, while MeanPER returns 0 for lack of a
-	// series.
+	// the loss attribution and the recovery-latency histogram keep
+	// accumulating.
 	NoSeries bool
 }
 
@@ -136,9 +134,93 @@ func (cfg TrajectoryConfig) withDefaults() TrajectoryConfig {
 	return cfg
 }
 
+// RecoveryBuckets sizes the recovery-latency histogram: bucket b
+// counts recoveries that took b rounds, and the last bucket also holds
+// every longer one.
+const RecoveryBuckets = 16
+
+// TrajectoryEvents counts a trajectory's protocol events and the causes
+// of its lost frames. StepFrames reports each round's counts in one
+// value (MultiRoundStats.Events); TrajectoryStats and Accumulator both
+// sum those values, so the two aggregates cannot disagree. Every field
+// is a plain sum over rounds.
+type TrajectoryEvents struct {
+	SkippedRounds   int64 `json:"skipped_rounds,omitempty"`     // device-rounds sat out by the power rule
+	Reassociations  int64 `json:"reassociations,omitempty"`     // completed re-associations
+	DevicesLostByAP int64 `json:"devices_lost_by_ap,omitempty"` // AP-side OnDeviceLost calls (timeout or re-association)
+
+	// Frame-loss attribution for scheduled-but-failed frames, by
+	// documented precedence: every AP dead → dropout; an interference
+	// burst this round → interference; the device's evolved fade below
+	// -DeepFadeDB → fading; anything else (noise, collisions) → other.
+	LostToDropout      int64 `json:"lost_to_dropout,omitempty"`
+	LostToInterference int64 `json:"lost_to_interference,omitempty"`
+	LostToFading       int64 `json:"lost_to_fading,omitempty"`
+	LostToOther        int64 `json:"lost_to_other,omitempty"`
+
+	// Closed recoveries: each counts the rounds from the outage event
+	// (first skip of a streak, or wake-up, or re-association trigger —
+	// whichever opened it) to the device's next CRC-valid frame.
+	// RecoveryRounds sums those latencies exactly; RecoveryHist buckets
+	// them (last bucket open).
+	Recoveries     int64                  `json:"recoveries,omitempty"`
+	RecoveryRounds int64                  `json:"recovery_rounds,omitempty"`
+	RecoveryHist   [RecoveryBuckets]int64 `json:"recovery_hist,omitzero"`
+}
+
+// add folds o's counts into e.
+func (e *TrajectoryEvents) add(o *TrajectoryEvents) {
+	e.SkippedRounds += o.SkippedRounds
+	e.Reassociations += o.Reassociations
+	e.DevicesLostByAP += o.DevicesLostByAP
+	e.LostToDropout += o.LostToDropout
+	e.LostToInterference += o.LostToInterference
+	e.LostToFading += o.LostToFading
+	e.LostToOther += o.LostToOther
+	e.Recoveries += o.Recoveries
+	e.RecoveryRounds += o.RecoveryRounds
+	for b, c := range o.RecoveryHist {
+		e.RecoveryHist[b] += c
+	}
+}
+
+// recovered records one closed recovery of the given latency.
+func (e *TrajectoryEvents) recovered(rounds int) {
+	e.Recoveries++
+	e.RecoveryRounds += int64(rounds)
+	e.RecoveryHist[min(rounds, RecoveryBuckets-1)]++
+}
+
+// MeanRecoveryLatency averages the closed recovery latencies in
+// rounds; 0 when no recovery was observed.
+func (e *TrajectoryEvents) MeanRecoveryLatency() float64 {
+	if e.Recoveries == 0 {
+		return 0
+	}
+	return float64(e.RecoveryRounds) / float64(e.Recoveries)
+}
+
+// RecoveryLatencyQuantile returns the q-quantile (0..1) of the closed
+// recovery latencies — the ceil(q·n)-th smallest — read off the
+// histogram: exact below RecoveryBuckets-1 rounds, that bound for
+// anything longer. 0 when none were observed.
+func (e *TrajectoryEvents) RecoveryLatencyQuantile(q float64) float64 {
+	if e.Recoveries == 0 {
+		return 0
+	}
+	rank := int64(math.Ceil(q * float64(e.Recoveries)))
+	rank = max(1, min(rank, e.Recoveries))
+	b, seen := 0, e.RecoveryHist[0]
+	for seen < rank && b < RecoveryBuckets-1 {
+		b++
+		seen += e.RecoveryHist[b]
+	}
+	return float64(b)
+}
+
 // TrajectoryStats aggregates a trajectory's outcome: PER over time,
-// the recovery-latency distribution, and frame losses attributed to
-// their dominant cause.
+// the protocol events, the recovery-latency distribution, and frame
+// losses attributed to their dominant cause.
 type TrajectoryStats struct {
 	Rounds int
 
@@ -147,76 +229,18 @@ type TrajectoryStats struct {
 	FramesOKPerRound []int
 	ActivePerRound   []int // devices scheduled (awake and participating)
 
-	// Protocol events.
-	SleepEvents     int // awake→asleep transitions
-	WakeEvents      int // asleep→awake transitions
-	SkippedRounds   int // device-rounds sat out by the power rule
-	Reassociations  int // completed re-associations
-	DevicesLostByAP int // AP-side OnDeviceLost calls (timeout or re-association)
+	// Churn transitions.
+	SleepEvents int // awake→asleep transitions
+	WakeEvents  int // asleep→awake transitions
 
 	// Adversity exposure.
 	BurstRounds   int // rounds carrying an interference burst
 	APDownRounds  int // dead AP-rounds (sum over rounds of dead APs)
 	AllLostRounds int // rounds where devices transmitted and nothing got through
 
-	// RecoveryLatencies holds, per closed recovery, the rounds from the
-	// outage event (first skip of a streak, or wake-up, or
-	// re-association trigger — whichever opened it) to the device's
-	// next CRC-valid frame.
-	RecoveryLatencies []int
-
-	// Frame-loss attribution for scheduled-but-failed frames, by
-	// documented precedence: every AP dead → dropout; an interference
-	// burst this round → interference; the device's evolved fade below
-	// -DeepFadeDB → fading; anything else (noise, collisions) → other.
-	LostToDropout      int
-	LostToInterference int
-	LostToFading       int
-	LostToOther        int
-}
-
-// MeanPER averages the per-round packet error rates.
-func (s *TrajectoryStats) MeanPER() float64 {
-	if len(s.PERPerRound) == 0 {
-		return 0
-	}
-	var acc float64
-	for _, v := range s.PERPerRound {
-		acc += v
-	}
-	return acc / float64(len(s.PERPerRound))
-}
-
-// MeanRecoveryLatency averages the closed recovery latencies in
-// rounds; 0 when no recovery was observed.
-func (s *TrajectoryStats) MeanRecoveryLatency() float64 {
-	if len(s.RecoveryLatencies) == 0 {
-		return 0
-	}
-	acc := 0
-	for _, v := range s.RecoveryLatencies {
-		acc += v
-	}
-	return float64(acc) / float64(len(s.RecoveryLatencies))
-}
-
-// RecoveryLatencyQuantile returns the q-quantile (0..1) of the closed
-// recovery latencies; 0 when none were observed.
-func (s *TrajectoryStats) RecoveryLatencyQuantile(q float64) float64 {
-	n := len(s.RecoveryLatencies)
-	if n == 0 {
-		return 0
-	}
-	sorted := append([]int(nil), s.RecoveryLatencies...)
-	sort.Ints(sorted)
-	idx := int(math.Ceil(q*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return float64(sorted[idx])
+	// Skips, re-associations, recoveries and loss attribution: the sum
+	// of every round's MultiRoundStats.Events.
+	TrajectoryEvents
 }
 
 // Trajectory drives a MultiAPNetwork through a time-varying world.
@@ -252,6 +276,7 @@ type Trajectory struct {
 	burstMod  *chirp.Modulator
 
 	adv          advRound
+	ev           TrajectoryEvents // this round's events
 	roundSamples int
 	periodSec    float64
 	round        int
@@ -365,22 +390,11 @@ func NewTrajectory(net *MultiAPNetwork, cfg TrajectoryConfig) (*Trajectory, erro
 	t.stats.PERPerRound = make([]float64, 0, r)
 	t.stats.FramesOKPerRound = make([]int, 0, r)
 	t.stats.ActivePerRound = make([]int, 0, r)
-	t.stats.RecoveryLatencies = make([]int, 0, 16)
 	return t, nil
 }
 
 // Stats exposes the accumulated trajectory statistics.
 func (t *Trajectory) Stats() *TrajectoryStats { return &t.stats }
-
-// Run steps the trajectory cfg.Rounds times and returns the stats.
-func (t *Trajectory) Run() (*TrajectoryStats, error) {
-	for r := 0; r < t.cfg.Rounds; r++ {
-		if _, err := t.Step(); err != nil {
-			return nil, err
-		}
-	}
-	return &t.stats, nil
-}
 
 // fadeDB returns device i's current evolved fade in dB (0 when evolved
 // fading is off).
@@ -447,7 +461,7 @@ func (t *Trajectory) reassociate(i int) bool {
 	t.net.gains[i] = gain
 	t.ids[i] = asg.NetworkID
 	t.known[i] = true
-	t.stats.Reassociations++
+	t.ev.Reassociations++
 	t.syncSlots()
 	return true
 }
@@ -493,6 +507,8 @@ func (t *Trajectory) StepFrames(payloads [][]byte) (MultiRoundStats, error) {
 			}
 		}
 	}
+
+	t.ev = TrajectoryEvents{}
 
 	// Infrastructure faults for the round.
 	nAlive := planDropout(cfg.Seed, uint64(r), cfg.APDropProb, t.adv.apAlive)
@@ -548,7 +564,7 @@ func (t *Trajectory) StepFrames(payloads [][]byte) (MultiRoundStats, error) {
 			if t.known[i] && t.sleepRounds[i] > cfg.LostAfterRounds {
 				t.ap.OnDeviceLost(t.ids[i])
 				t.known[i] = false
-				t.stats.DevicesLostByAP++
+				t.ev.DevicesLostByAP++
 			}
 		case t.reassocLeft[i] > 0:
 			t.reassocLeft[i]--
@@ -565,12 +581,12 @@ func (t *Trajectory) StepFrames(payloads [][]byte) (MultiRoundStats, error) {
 			if participate {
 				n.gains[i] = gain
 			} else {
-				t.stats.SkippedRounds++
+				t.ev.SkippedRounds++
 				t.markPending(i, r)
 				if t.pcs[i].NeedsReassociation() {
 					t.ap.OnDeviceLost(t.ids[i])
 					t.known[i] = false
-					t.stats.DevicesLostByAP++
+					t.ev.DevicesLostByAP++
 					t.startReassoc(i, r)
 				}
 			}
@@ -605,7 +621,7 @@ func (t *Trajectory) StepFrames(payloads [][]byte) (MultiRoundStats, error) {
 		sel := n.rc.sel[i]
 		if sel >= 0 && n.rc.res[sel].Devices[i].CRCOK {
 			if t.pendingSince[i] >= 0 {
-				t.stats.RecoveryLatencies = append(t.stats.RecoveryLatencies, r-t.pendingSince[i])
+				t.ev.recovered(r - t.pendingSince[i])
 				t.pendingSince[i] = -1
 			}
 			t.ap.UpdateSNR(t.ids[i], n.rc.snrArena[i*n.nAPs+sel]+t.fadeDB(i))
@@ -613,16 +629,18 @@ func (t *Trajectory) StepFrames(payloads [][]byte) (MultiRoundStats, error) {
 		}
 		switch {
 		case nAlive == 0:
-			t.stats.LostToDropout++
+			t.ev.LostToDropout++
 		case bp.present:
-			t.stats.LostToInterference++
+			t.ev.LostToInterference++
 		case t.fadeDB(i) < -cfg.DeepFadeDB:
-			t.stats.LostToFading++
+			t.ev.LostToFading++
 		default:
-			t.stats.LostToOther++
+			t.ev.LostToOther++
 		}
 	}
 
+	stats.Events = t.ev
+	t.stats.TrajectoryEvents.add(&t.ev)
 	t.stats.Rounds++
 	if !t.cfg.NoSeries {
 		t.stats.PERPerRound = append(t.stats.PERPerRound, stats.Combined.PER())

@@ -194,8 +194,8 @@ func TestTrajectoryDeepFadeRecovery(t *testing.T) {
 	// Budget: 3 skips to trip NeedsReassociation, ReassocRounds (1) of
 	// handshake, back on the air that same round.
 	budget := 3 + 1
-	if len(s.RecoveryLatencies) == 0 || s.RecoveryLatencies[0] > budget {
-		t.Fatalf("recovery latency %v exceeds budget %d", s.RecoveryLatencies, budget)
+	if s.Recoveries == 0 || s.RecoveryLatencyQuantile(1) > float64(budget) {
+		t.Fatalf("recovery latency histogram %v exceeds budget %d", s.RecoveryHist, budget)
 	}
 	if !tr.known[dev] {
 		t.Fatal("recovered device lost its AP record")
@@ -218,8 +218,10 @@ func TestTrajectoryChurnRecoveryAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tr.Run(); err != nil {
-			t.Fatal(err)
+		for r := 0; r < 20; r++ {
+			if _, err := tr.Step(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return *tr.Stats()
 	}
@@ -246,6 +248,40 @@ func TestTrajectoryChurnRecoveryAccounting(t *testing.T) {
 	}
 }
 
+// TestTrajectoryEventsMatchAccumulator: TrajectoryStats and an
+// Accumulator fed the trajectory's rounds fold the same per-round
+// Events, so their event counters agree exactly — under churn, bursts,
+// dropout and evolved fading at once, which drives every counter.
+func TestTrajectoryEventsMatchAccumulator(t *testing.T) {
+	net := testMultiAPNetwork(t, 12, 2, 81)
+	tr, err := NewTrajectory(net, TrajectoryConfig{
+		Seed:        29,
+		Correlation: 0.9,
+		SleepProb:   0.3,
+		WakeProb:    0.5,
+		BurstProb:   0.3,
+		APDropProb:  0.2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acc Accumulator
+	for r := 0; r < 24; r++ {
+		st, err := tr.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc.AddMulti(st, false)
+	}
+	s := tr.Stats()
+	if got := acc.Snapshot().TrajectoryEvents; got != s.TrajectoryEvents {
+		t.Fatalf("accumulator events %+v != trajectory events %+v", got, s.TrajectoryEvents)
+	}
+	if s.Reassociations == 0 || s.Recoveries == 0 || s.LostToInterference+s.LostToDropout == 0 {
+		t.Fatalf("adversity mix left the event books empty: %+v", s.TrajectoryEvents)
+	}
+}
+
 // TestTrajectoryInterferenceBurstsAttributed: with a burst every round
 // and no other adversity, any lost frame can only be attributed to
 // interference (or other — never fading or dropout).
@@ -259,8 +295,10 @@ func TestTrajectoryInterferenceBurstsAttributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Run(); err != nil {
-		t.Fatal(err)
+	for r := 0; r < 6; r++ {
+		if _, err := tr.Step(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s := tr.Stats()
 	if s.BurstRounds != 6 {

@@ -67,9 +67,10 @@ echo "== fuzz seed corpus =="
 # Runs every Fuzz* target over its committed seeds (no exploration):
 # synthesizer phase continuity, interleaved-chain stride continuity
 # (chain path vs serial recurrence), cyclic-shift identity, decoder
-# round-trip, and the cross-AP aggregator's never-drop/never-double
-# invariants.
-go test -count=1 -run 'Fuzz' ./internal/synth ./internal/core ./internal/sim
+# round-trip, the cross-AP aggregator's never-drop/never-double
+# invariants, and the campaign spec decode (no panic, grid bounded by
+# campaign.MaxCells).
+go test -count=1 -run 'Fuzz' ./internal/synth ./internal/core ./internal/sim ./internal/campaign
 
 echo "== race: concurrent paths =="
 # The sim round path (one path, MultiAPNetwork.runRound; the one-AP
